@@ -142,18 +142,22 @@ class RunConfig:
         return asdict(self)
 
 
-def parse_domain(spec: str):
+_CURVE_M = 512  # boundary resolution of disk:/ellipse: outside the flow
+
+
+def parse_domain(spec: str, m: int = _CURVE_M):
     """Domain spec strings: disk:R, ellipse:a:b, file:path, analytic:...
 
-    Bounded 2D variants return a PlanarCurve for the PDE pipelines;
+    Bounded 2D variants return a PlanarCurve for the PDE pipelines (disk:
+    and ellipse: sampled at m vertices on the exact curve, 512 by default);
     analytic:* returns an AnalyticDomain for the collapse scans.
     """
     parts = str(spec).split(":")
     kind, args = parts[0], parts[1:]
     if kind == "disk":
-        return geometry.PlanarCurve.circle(float(args[0]), _CURVE_M)
+        return geometry.PlanarCurve.circle(float(args[0]), m)
     if kind == "ellipse":
-        return geometry.PlanarCurve.ellipse(float(args[0]), float(args[1]), _CURVE_M)
+        return geometry.PlanarCurve.ellipse(float(args[0]), float(args[1]), m)
     if kind == "file":
         return geometry.load_domain(args[0])
     if kind == "analytic":
@@ -165,8 +169,6 @@ def parse_domain(spec: str):
         return ctor(*params) if params else ctor()
     raise ValidationError(f"unknown domain spec {spec!r}")
 
-
-_CURVE_M = 512  # default boundary resolution; overridden by --vertices
 
 _ANALYTIC_VARIANTS = (
     "disk", "half_plane", "slab", "grim_reaper_2d", "grim_reaper_product",
@@ -189,17 +191,20 @@ def parse_radii(spec: str):
     raise ValidationError(f"unknown radii spec {spec!r}")
 
 
-def parse_centers(spec: str, radii):
+def parse_centers(spec: str, radii, dim: int = 2):
+    """Ball centers in R^dim: origin, grim_reaper_schedule or list:x1,y1,..."""
     if spec == "origin":
-        return [(0.0, 0.0)]
+        return [(0.0,) * dim]
     if spec == "grim_reaper_schedule":
-        # centers (0, r^2) ride up the reaper region so B_{r/2} stays inside
-        return [(0.0, r * r) for r in radii]
+        # centers (0, .., 0, r^2) ride up the reaper region so B_{r/2} stays inside
+        return [(0.0,) * (dim - 1) + (r * r,) for r in radii]
     if spec.startswith("list:"):
         vals = [float(v) for v in spec[5:].split(",")]
-        if len(vals) % 2:
-            raise ValidationError("centers list needs an even number of floats")
-        return [tuple(vals[i:i + 2]) for i in range(0, len(vals), 2)]
+        if len(vals) % dim:
+            raise ValidationError(
+                f"centers list needs a multiple of {dim} floats (dimension {dim})"
+            )
+        return [tuple(vals[i:i + dim]) for i in range(0, len(vals), dim)]
     raise ValidationError(f"unknown centers spec {spec!r}")
 
 
@@ -307,10 +312,10 @@ class _Cache:
 # -- pipelines -------------------------------------------------------------
 
 
-def _require_curve(domain):
+def _require_curve(domain, m: int = _CURVE_M):
     if isinstance(domain, geometry.AnalyticDomain):
         try:
-            return domain.boundary_curve(_CURVE_M)
+            return domain.boundary_curve(m)
         except geometry.GeometryError:
             raise ValidationError(
                 "this subcommand needs a bounded planar domain "
@@ -354,10 +359,17 @@ def _run_entropy(cfg: RunConfig, out: str, warnings_: list):
 
 
 def _flow_stage(cfg: RunConfig, cache: _Cache):
-    curve = _require_curve(parse_domain(cfg.domain))
+    """Flow of the domain's boundary sampled at --vertices, cached.
+
+    Analytic curves are sampled exactly at that count; a polyline file is
+    resampled linearly by vertex index.
+    """
+    curve = _require_curve(parse_domain(cfg.domain, cfg.vertices), cfg.vertices)
     key = {
         "domain": cfg.domain,
         "vertices": cfg.vertices,
+        # keeps entries from earlier index-resampled curves from matching
+        "sampling": "exact",
         "frac": cfg.frac,
         "snapshots": cfg.snapshots,
         "dt_scale": cfg.dt_scale,
@@ -365,12 +377,13 @@ def _flow_stage(cfg: RunConfig, cache: _Cache):
     }
 
     def run():
-        c = geometry.PlanarCurve(
-            conjugate.boundary_positions(
-                curve.vertices,
-                np.arange(cfg.vertices) * len(curve.vertices) / cfg.vertices,
+        c = curve
+        if len(c) != cfg.vertices:
+            c = geometry.PlanarCurve(
+                conjugate.boundary_positions(
+                    c.vertices, np.arange(cfg.vertices) * len(c) / cfg.vertices
+                )
             )
-        )
         return flow.run_flow(c, cfg.frac, cfg.snapshots, cfg.dt_scale, cfg.a)
 
     return cache.get_or_run("flow", key, run), key
@@ -472,7 +485,8 @@ def _run_harnack(cfg: RunConfig, out: str, warnings_: list):
 def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
     domain = parse_domain(cfg.domain)
     radii = parse_radii(cfg.radii)
-    centers = parse_centers(cfg.centers, radii)
+    dim = domain.dim if isinstance(domain, geometry.AnalyticDomain) else 2
+    centers = parse_centers(cfg.centers, radii, dim)
     scan = collapse.ratio_scan(
         domain, centers, radii, beta_spec=cfg.beta,
         budget=cfg.budget, seed=cfg.seed,

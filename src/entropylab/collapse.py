@@ -14,7 +14,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .geometry import AnalyticDomain, GeometryError, PlanarCurve
 
@@ -140,6 +139,9 @@ def ball_intersection_volume(domain, center, r: float, budget: int = DEFAULT_BUD
         return 0.0, 0.0
     lo, hi, dim = box
     box_vol = float(np.prod(hi - lo))
+    # scipy.stats costs about a second to import: load it on first use
+    from scipy.stats import qmc
+
     # Sobol balance wants powers of two; round the per-replicate count up
     m_bits = int(np.ceil(np.log2(max(budget // N_REPLICATES, 2))))
     means = []

@@ -203,10 +203,12 @@ def interpolate(source_ops: FemOperators, f, target_points) -> np.ndarray:
     if (~inside).any():
         q = pts[~inside]
         bnd = mesh.vertices[: mesh.n_boundary]
-        dist = _points_polyline_distance(q, bnd)
+        # exact up to and including 2h, +inf beyond
+        dist = _points_polyline_distance(q, bnd, np.nextafter(2 * mesh.h, np.inf))
         if np.any(dist > 2 * mesh.h):
             raise FemError(
-                f"target point {dist.max():.3g} outside source domain (> 2h)"
+                f"{int(np.sum(dist > 2 * mesh.h))} target point(s) outside "
+                f"the source domain by more than 2h = {2 * mesh.h:.3g}"
             )
         out[~inside] = _boundary_projection_values(mesh, f, q)
     return out

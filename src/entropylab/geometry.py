@@ -207,18 +207,50 @@ class PlanarCurve:
         return PlanarCurve(v, check_embedded=False)
 
     def contains_points(self, points) -> np.ndarray:
-        """Even-odd crossing test, vectorized over query points."""
+        """Even-odd crossing test.
+
+        Edges are binned by the y-bins their span covers (about sqrt(m)
+        bins), and each point is tested only against the edges of its own
+        bin: no other edge can straddle the point's y.  Each (point, edge)
+        pair uses the same crossing arithmetic as a dense test.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.vertices
         w = np.roll(v, -1, axis=0)
-        x, y = pts[:, 0][:, None], pts[:, 1][:, None]
-        x1, y1 = v[:, 0][None, :], v[:, 1][None, :]
-        x2, y2 = w[:, 0][None, :], w[:, 1][None, :]
+        ylo = np.minimum(v[:, 1], w[:, 1])
+        yhi = np.maximum(v[:, 1], w[:, 1])
+        nbins = max(1, int(np.sqrt(len(v))))
+        bounds = np.linspace(ylo.min(), yhi.max(), nbins + 1)
+
+        # bin(y) is monotone in y, so an edge with ylo <= y < yhi is listed
+        # in bin(y); horizontal edges never straddle and are left out
+        e = np.flatnonzero(ylo < yhi)
+        first = np.clip(np.searchsorted(bounds, ylo[e], side="right") - 1, 0, nbins - 1)
+        span = np.clip(np.searchsorted(bounds, yhi[e], side="right") - 1, 0, nbins - 1)
+        span -= first - 1
+        bin_of = np.repeat(first, span) + _ragged_arange(span)
+        bin_edges = np.repeat(e, span)[np.argsort(bin_of, kind="stable")]
+        bin_count = np.bincount(bin_of, minlength=nbins)
+        bin_start = np.cumsum(bin_count) - bin_count
+
+        pbin = np.searchsorted(bounds, pts[:, 1], side="right") - 1
+        p = np.flatnonzero((pbin >= 0) & (pbin < nbins))
+        n = bin_count[pbin[p]]
+        i = np.repeat(p, n)
+        j = bin_edges[np.repeat(bin_start[pbin[p]], n) + _ragged_arange(n)]
+        x, y = pts[i, 0], pts[i, 1]
+        x1, y1 = v[j, 0], v[j, 1]
+        x2, y2 = w[j, 0], w[j, 1]
         cond = (y1 <= y) != (y2 <= y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        crossings = np.sum(cond & (x < xs), axis=1)
+        xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        crossings = np.bincount(i[cond & (x < xs)], minlength=len(pts))
         return crossings % 2 == 1
+
+
+def _ragged_arange(counts) -> np.ndarray:
+    """Concatenation of arange(c) for each c in counts."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
 
 
 # -- analytic example domains -------------------------------------------

@@ -123,8 +123,8 @@ def _hessian_from_fits(mesh, f, layer_exclude: float = 1.5):
     nb = mesh.n_boundary
     bpos = mesh.vertices[:nb]
     spacing = np.linalg.norm(np.roll(bpos, -1, axis=0) - bpos, axis=1).mean()
-    dist = mesh.interior_distance_to_boundary()
-    keep = np.flatnonzero(dist >= layer_exclude * spacing)
+    cutoff = layer_exclude * spacing
+    keep = np.flatnonzero(mesh.interior_distance_to_boundary(cutoff) >= cutoff)
     k = min(PATCH_K, len(keep))
     if k < 15:
         raise HarnackError(f"mesh too small for cubic patches ({k} fit points)")

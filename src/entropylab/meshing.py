@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import GeometryError, PlanarCurve
 
@@ -47,10 +47,6 @@ class TriMesh:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    @property
-    def boundary_loop(self) -> np.ndarray:
-        return np.arange(self.n_boundary)
-
     def boundary_edges(self) -> np.ndarray:
         i = np.arange(self.n_boundary)
         return np.column_stack([i, (i + 1) % self.n_boundary])
@@ -83,12 +79,16 @@ class TriMesh:
             self.h,
         )
 
-    def interior_distance_to_boundary(self) -> np.ndarray:
-        """Per-vertex distance to the boundary polyline (0 on the boundary)."""
-        key = "bdist"
+    def interior_distance_to_boundary(self, cutoff: float) -> np.ndarray:
+        """Per-vertex distance to the boundary polyline, 0 on the boundary.
+
+        Exact where it is below ``cutoff`` and +inf elsewhere, so it answers
+        ``distance >= c`` exactly for every c <= cutoff.
+        """
+        key = ("bdist", float(cutoff))
         if key not in self._cache:
             d = _points_polyline_distance(
-                self.vertices, self.vertices[: self.n_boundary]
+                self.vertices, self.vertices[: self.n_boundary], cutoff
             )
             d[: self.n_boundary] = 0.0
             self._cache[key] = d
@@ -127,21 +127,54 @@ def _triangle_min_angles(v, t):
     return np.minimum.reduce([ang(la, lb, lc), ang(lb, lc, la), ang(lc, la, lb)])
 
 
-def _points_polyline_distance(points, loop, chunk=4096):
-    """Min distance from each point to the closed polyline through ``loop``."""
+def _points_polyline_distance(points, loop, cutoff: float) -> np.ndarray:
+    """Distance from each point to the closed polyline through ``loop``.
+
+    Exact where it is below ``cutoff`` and +inf elsewhere.  Only segments
+    whose midpoint lies within cutoff + half the longest segment of a point
+    are measured (a kd-tree radius query), so the cost is near-linear when
+    the cutoff is of the order of the segment length.  Each (point, segment)
+    pair uses the clip-and-project formula of a dense scan, so the result is
+    bit-identical to the dense minimum wherever that is below the cutoff.
+    """
+    points = np.asarray(points, dtype=float)
     p1 = loop
-    p2 = np.roll(loop, -1, axis=0)
-    d = p2 - p1
+    d = np.roll(loop, -1, axis=0) - p1
     dd = np.sum(d * d, axis=1)
-    out = np.empty(len(points))
-    for lo in range(0, len(points), chunk):
-        q = points[lo : lo + chunk]
-        w = q[:, None, :] - p1[None, :, :]
-        t = np.clip(np.einsum("ijk,jk->ij", w, d) / dd[None, :], 0.0, 1.0)
-        proj = p1[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.linalg.norm(q[:, None, :] - proj, axis=2)
-        out[lo : lo + chunk] = dist.min(axis=1)
+    out = np.full(len(points), np.inf)
+    if not len(points):
+        return out
+    # the slack keeps pairs whose rounded distance is just below the cutoff
+    radius = (cutoff + 0.5 * np.sqrt(dd.max())) * (1.0 + 1e-9) + 1e-12 * (
+        1.0 + np.abs(loop).max()
+    )
+    near = cKDTree(p1 + 0.5 * d).query_ball_point(points, radius, return_sorted=False)
+    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(points))
+    if not counts.any():
+        return out
+    i = np.repeat(np.arange(len(points)), counts)
+    j = np.concatenate(near[counts > 0]).astype(np.intp)
+    q, a, dj = points[i], p1[j], d[j]
+    t = np.clip(np.einsum("ik,ik->i", q - a, dj) / dd[j], 0.0, 1.0)
+    dist = np.linalg.norm(q - (a + t[:, None] * dj), axis=1)
+    hit = counts > 0
+    best = np.minimum.reduceat(dist, (np.cumsum(counts) - counts)[hit])
+    out[hit] = np.where(best < cutoff, best, np.inf)
     return out
+
+
+def _lost_boundary_edges(simplices, nb: int, n_vertices: int) -> np.ndarray:
+    """Ascending indices i of boundary edges (i, i+1 mod nb) no triangle has.
+
+    Edges are compared as sorted int64 keys min * n_vertices + max.
+    """
+    a = simplices.astype(np.int64)
+    b = np.roll(a, -1, axis=1)
+    keys = np.unique(np.minimum(a, b) * n_vertices + np.maximum(a, b))
+    i = np.arange(nb, dtype=np.int64)
+    j = (i + 1) % nb
+    bkeys = np.minimum(i, j) * n_vertices + np.maximum(i, j)
+    return np.flatnonzero(~np.isin(bkeys, keys, assume_unique=True))
 
 
 def refine_boundary(curve: PlanarCurve, h: float):
@@ -239,7 +272,7 @@ def _triangulate_once(
     if len(cand):
         inside = bcurve.contains_points(cand)
         cand = cand[inside]
-        dist = _points_polyline_distance(cand, bpts)
+        dist = _points_polyline_distance(cand, bpts, 0.65 * h_eff)
         cand = cand[dist >= 0.65 * h_eff]
     interior = cand
 
@@ -250,20 +283,19 @@ def _triangulate_once(
         if len(pts) == nb:
             break
         # average neighbor position per vertex (Laplacian smoothing)
-        indptr, indices = tri.vertex_neighbor_vertices
-        acc = np.zeros_like(pts)
-        cnt = np.zeros(len(pts))
         e0 = tri.simplices[:, [0, 1, 2]].ravel()
         e1 = tri.simplices[:, [1, 2, 0]].ravel()
-        np.add.at(acc, e0, pts[e1])
-        np.add.at(cnt, e0, 1.0)
-        np.add.at(acc, e1, pts[e0])
-        np.add.at(cnt, e1, 1.0)
+        src = np.concatenate([e0, e1])
+        nbr = pts[np.concatenate([e1, e0])]
+        acc = np.column_stack(
+            [np.bincount(src, weights=nbr[:, k], minlength=len(pts)) for k in (0, 1)]
+        )
+        cnt = np.bincount(src, minlength=len(pts))
         target = acc / np.maximum(cnt, 1.0)[:, None]
         moved = pts.copy()
         moved[nb:] = target[nb:]
         ok = bcurve.contains_points(moved[nb:])
-        d = _points_polyline_distance(moved[nb:], bpts)
+        d = _points_polyline_distance(moved[nb:], bpts, 0.5 * h_eff)
         ok &= d >= 0.5 * h_eff
         bad = ~ok
         moved[nb:][bad] = pts[nb:][bad]
@@ -283,18 +315,14 @@ def _triangulate_once(
     simplices[flip] = simplices[flip][:, [0, 2, 1]]
 
     mesh = TriMesh(pts, simplices, nb, bparam, h_eff)
-    mesh._cache["delaunay"] = tri
 
     # conformity: every boundary segment must appear in the triangulation
-    edges = set()
-    for t in simplices:
-        for i in range(3):
-            edges.add(frozenset((t[i], t[(i + 1) % 3])))
-    for i in range(nb):
-        if frozenset((i, (i + 1) % nb)) not in edges:
-            raise MeshQualityError(
-                f"boundary edge ({i}, {(i + 1) % nb}) lost in triangulation"
-            )
+    lost = _lost_boundary_edges(simplices, nb, len(pts))
+    if len(lost):
+        i = int(lost[0])
+        raise MeshQualityError(
+            f"boundary edge ({i}, {(i + 1) % nb}) lost in triangulation"
+        )
 
     angles = np.degrees(_triangle_min_angles(pts, simplices))
     if angles.min() < min_angle:

@@ -65,6 +65,11 @@ class TestSpecParsers:
         assert cli.parse_centers("list:1,2,3,4", []) == [(1.0, 2.0), (3.0, 4.0)]
         with pytest.raises(cli.ValidationError):
             cli.parse_centers("list:1,2,3", [])
+        assert cli.parse_centers("origin", [1.0], 3) == [(0.0, 0.0, 0.0)]
+        assert cli.parse_centers("list:1,2,3", [], 3) == [(1.0, 2.0, 3.0)]
+        assert cli.parse_centers("grim_reaper_schedule", [2.0], 3) == [(0.0, 0.0, 4.0)]
+        with pytest.raises(cli.ValidationError):
+            cli.parse_centers("list:1,2,3,4", [], 3)
         with pytest.raises(cli.ValidationError):
             cli.parse_centers("everywhere", [])
 
@@ -128,6 +133,35 @@ class TestPipelines:
         assert cli.main(args) == cli.EXIT_OK
         assert (tmp_path / "f1" / "flow.csv").read_bytes() == first
         assert sorted(os.listdir(cache_dir)) == entries
+
+    def test_flow_samples_the_exact_curve(self, tmp_path, capsys):
+        rc = cli.main([
+            "flow", "--domain", "disk:1", "--vertices", "2048", "--frac", "0.002",
+            "--snapshots", "2", "--out", str(tmp_path), "--tag", "f2",
+        ])
+        assert rc == cli.EXIT_OK
+        traj = json.loads((tmp_path / "f2" / "trajectory.json").read_text())
+        first = traj["records"][0]
+        assert first["t"] == 0.0 and len(first["vertices"]) == 2048
+        kappa = PlanarCurve(first["vertices"], check_embedded=False).curvature()
+        assert np.abs(kappa - 1.0).max() < 1e-3
+
+    def test_collapse_on_a_ball_in_3d(self, tmp_path, capsys):
+        rc = cli.main([
+            "collapse", "--domain", "analytic:ball:1", "--radii", "list:0.5,2",
+            "--out", str(tmp_path), "--tag", "b3",
+        ])
+        assert rc == cli.EXIT_OK
+        assert json.loads((tmp_path / "b3" / "collapse.json").read_text())["dim"] == 3
+        lines = (tmp_path / "b3" / "collapse.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(float, ln.split(",")))) for ln in lines[1:]]
+        # B_r lies inside the unit ball for r <= 1/2 (both the full and half ball)
+        for row in rows:
+            for r, key in ((row["r"], "V_full"), (row["r"] / 2, "V_half")):
+                if r <= 0.5:
+                    exact = 4.0 / 3.0 * np.pi * r**3
+                    assert row[key] == pytest.approx(exact, rel=1e-3, abs=5 * row["mc_error"])
 
     def test_logsobolev_run(self, tmp_path, capsys):
         rc = cli.main([

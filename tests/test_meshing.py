@@ -101,11 +101,21 @@ class TestTriMesh:
             disk_mesh.with_vertices(bad)
 
     def test_interior_distance_to_boundary(self, disk_mesh):
-        d = disk_mesh.interior_distance_to_boundary()
+        cutoff = 0.2
+        d = disk_mesh.interior_distance_to_boundary(cutoff)
         assert np.all(d[: disk_mesh.n_boundary] == 0.0)
         r = np.linalg.norm(disk_mesh.vertices, axis=1)
         interior = slice(disk_mesh.n_boundary, None)
-        assert np.allclose(d[interior], 1.0 - r[interior], atol=5e-3)
+        d, depth = d[interior], 1.0 - r[interior]
+        near = d < cutoff
+        assert near.any() and (~near).any()
+        assert np.allclose(d[near], depth[near], atol=5e-3)
+        assert np.all(np.isinf(d[~near]))
+        assert np.all(depth[~near] >= cutoff - 5e-3)
+        # cached per cutoff
+        assert disk_mesh.interior_distance_to_boundary(cutoff) is (
+            disk_mesh.interior_distance_to_boundary(cutoff)
+        )
 
     def test_dict_round_trip(self, disk_mesh):
         m2 = TriMesh.from_dict(disk_mesh.to_dict())
