@@ -6,7 +6,7 @@ versions, input hashes, wall time, output list, warnings) atomically at the
 end; CSV outputs serialize floats with 17 significant digits so reruns with
 an identical config and seed are byte-identical.  The harnack pipeline
 caches its flow and backward-solve stages under a hash of the exact inputs
-that feed them.
+that feed them and of the package's code.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure,
 4 acceptance-suite failure.
@@ -25,6 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+import scipy
 
 from . import (
     __version__,
@@ -285,16 +286,31 @@ def emit_plot_data(report, path: str):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _code_fingerprint() -> str:
+    """sha256 of the package, numpy and scipy versions and the package's .py
+    sources (SuperLU, Qhull and Sobol decide the cached results too)."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    versions = f"{__version__}\0{np.__version__}\0{scipy.__version__}"
+    digest = hashlib.sha256(versions.encode())
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
 class _Cache:
-    """Content-addressed pickle store for expensive pipeline stages."""
+    """Pickle store for expensive pipeline stages, keyed by a hash of their
+    inputs and of the code fingerprint (entries of other code never match)."""
 
     def __init__(self, root: str):
         self.dir = os.path.join(root, "cache")
         os.makedirs(self.dir, exist_ok=True)
         self.log = {}
+        self.code = _code_fingerprint()
 
     def get_or_run(self, stage: str, key_obj, fn):
-        key = _hash_obj(key_obj)
+        key = _hash_obj({"code": self.code, "inputs": key_obj})
         path = os.path.join(self.dir, f"{stage}-{key}.pkl")
         if os.path.exists(path):
             self.log[stage] = {"key": key, "hit": True}
@@ -368,8 +384,6 @@ def _flow_stage(cfg: RunConfig, cache: _Cache):
     key = {
         "domain": cfg.domain,
         "vertices": cfg.vertices,
-        # keeps entries from earlier index-resampled curves from matching
-        "sampling": "exact",
         "frac": cfg.frac,
         "snapshots": cfg.snapshots,
         "dt_scale": cfg.dt_scale,
@@ -628,7 +642,6 @@ _PIPELINES = {
 
 def run(cfg: RunConfig) -> RunManifest:
     cfg.validate()
-    _apply_thread_cap()
     out = os.path.join(cfg.out, cfg.tag)
     os.makedirs(out, exist_ok=True)
     warnings_: list = []
@@ -639,6 +652,7 @@ def run(cfg: RunConfig) -> RunManifest:
         versions={
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "entropylab": __version__,
         },
         wall_time_s=time.monotonic() - start,
@@ -648,13 +662,6 @@ def run(cfg: RunConfig) -> RunManifest:
     )
     manifest.write(os.path.join(out, "manifest.json"))
     return manifest
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("ENTROPYLAB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 # -- argument parsing ------------------------------------------------------

@@ -224,8 +224,8 @@ def boundary_beta_integral(domain, center, r: float, beta_spec,
 
     if beta_spec == "zero":
         return 0.0
-    if v in ("half_plane", "catenoid_3d") and beta_spec == "mean_curvature":
-        return 0.0  # minimal boundaries
+    if v in ("half_plane", "slab", "catenoid_3d") and beta_spec == "mean_curvature":
+        return 0.0  # flat (half-plane, slab) or minimal (catenoid) boundaries
 
     if v in ("disk", "ellipse"):
         curve = domain.boundary_curve(4096)

@@ -14,6 +14,12 @@ boundary flux -(w.nu) u then cancels the boundary-motion term identically,
 so no boundary matrix appears and the total mass 1'Mu is conserved to solver
 precision: 1'K = 0 and the columns of C sum to zero because the basis
 gradients form a partition of unity.
+
+The connectivity never changes, so all matrices live on one CSC sparsity
+pattern built once, with a scatter map from element entries to it.  Each
+substep assembles K and M once, on the new configuration, and carries them
+over as the next substep's old K and M; only C, which depends on the
+substep's mesh velocity w, is assembled on both configurations.
 """
 
 from __future__ import annotations
@@ -107,45 +113,53 @@ def interp_periodic(values: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 
 class _AleAssembler:
-    """Reusable sparse patterns for the fixed connectivity of the ALE mesh."""
+    """Theta-scheme matrices on the fixed CSC pattern of the ALE connectivity.
+
+    ``step`` keeps the new configuration's geometry, K and M for the next step.
+    """
 
     def __init__(self, mesh: meshing.TriMesh):
         self.tri = mesh.triangles
-        n = mesh.n_vertices
-        self.n = n
-        self.rows = np.repeat(self.tri, 3, axis=1).ravel()
-        self.cols = np.tile(self.tri, (1, 3)).ravel()
+        n = self.n = mesh.n_vertices
+        # int64: Qhull's int32 indices would overflow col * n + row past 46,340
+        tri = self.tri.astype(np.int64)
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        keys, self.scatter = np.unique(cols * n + rows, return_inverse=True)
+        self.indices = keys % n
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        self._old = self._geometry(mesh.vertices)
 
-    def matrices(self, vertices: np.ndarray, w: np.ndarray):
-        t = self.tri
-        a, b, c = vertices[t[:, 0]], vertices[t[:, 1]], vertices[t[:, 2]]
-        det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-            c[:, 0] - a[:, 0]
-        )
-        if np.any(det <= 0):
-            raise ConjugateError("mesh inverted during ALE motion")
-        areas = 0.5 * det
-        grads = np.empty((len(t), 3, 2))
-        grads[:, 0, 0] = b[:, 1] - c[:, 1]
-        grads[:, 0, 1] = c[:, 0] - b[:, 0]
-        grads[:, 1, 0] = c[:, 1] - a[:, 1]
-        grads[:, 1, 1] = a[:, 0] - c[:, 0]
-        grads[:, 2, 0] = a[:, 1] - b[:, 1]
-        grads[:, 2, 1] = b[:, 0] - a[:, 0]
-        grads /= det[:, None, None]
+    def _assemble(self, element_values):
+        return np.bincount(self.scatter, element_values.ravel(), len(self.indices))
 
-        ke = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
-        me = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None] * areas[:, None, None]
+    def _matrix(self, data):
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def _geometry(self, vertices):
+        try:
+            areas, grads, ke, me = fem._p1_elements(vertices, self.tri)
+        except fem.FemError as err:
+            raise ConjugateError("mesh inverted during ALE motion") from err
+        return areas, grads, self._assemble(ke), self._assemble(me)
+
+    def _convection(self, areas, grads, w):
         # C[i,j] = grad(phi_i) . int phi_j w = grad(phi_i).(|T|/12)(sum w + w_j)
-        wt = w[t]  # (ntri, 3, 2)
-        wsum = wt.sum(axis=1, keepdims=True)
-        wj = (wsum + wt) / 12.0  # (ntri, 3(j), 2)
-        ce = np.einsum("tid,tjd->tij", grads, wj) * areas[:, None, None]
-        shape = (self.n, self.n)
-        K = sp.coo_matrix((ke.ravel(), (self.rows, self.cols)), shape=shape).tocsr()
-        M = sp.coo_matrix((me.ravel(), (self.rows, self.cols)), shape=shape).tocsr()
-        C = sp.coo_matrix((ce.ravel(), (self.rows, self.cols)), shape=shape).tocsr()
-        return K, M, C
+        wt = w[self.tri]  # (ntri, 3, 2)
+        wj = (wt.sum(axis=1, keepdims=True) + wt) / 12.0  # (ntri, 3(j), 2)
+        g, wj = grads[:, :, None, :], wj[:, None, :, :]
+        ce = g[..., 0] * wj[..., 0] + g[..., 1] * wj[..., 1]
+        return self._assemble(ce * areas[:, None, None])
+
+    def step(self, new_vertices, w, ds: float, theta: float):
+        """(A, B, lumped new mass) of the theta-scheme from the current mesh."""
+        areas_o, grads_o, k_o, m_o = self._old
+        new = self._geometry(new_vertices)
+        areas_n, grads_n, k_n, m_n = new
+        A = m_n + theta * ds * (k_n + self._convection(areas_n, grads_n, w))
+        B = m_o - (1.0 - theta) * ds * (k_o + self._convection(areas_o, grads_o, w))
+        self._old = new
+        return self._matrix(A), self._matrix(B), np.bincount(self.indices, m_n, self.n)
 
 
 def _harmonic_extension_solver(ops: fem.FemOperators, nb: int):
@@ -264,13 +278,10 @@ def backward_solve(
             disp = extend(b_new - verts[:nb])
             new_verts = verts + disp
             w = disp / ds
-            K_o, M_o, C_o = assembler.matrices(verts, w)
-            K_n, M_n, C_n = assembler.matrices(new_verts, w)
-            A = (M_n + theta * ds * (K_n + C_n)).tocsc()
-            B = M_o - (1.0 - theta) * ds * (K_o + C_o)
+            A, B, m_lumped = assembler.step(new_verts, w, ds, theta)
             u = spl.spsolve(A, B @ u)
             verts = new_verts
-            mass = float(np.asarray(M_n.sum(axis=1)).ravel() @ u)
+            mass = float(m_lumped @ u)
             log.append((float(t_new), mass))
         if np.any(u <= 0):
             warnings_.append(f"non-positive u reached at snapshot {i - 1}; clamped")

@@ -64,22 +64,17 @@ class FemOperators:
         return rhs / self.M_lumped
 
 
-def assemble(mesh: TriMesh) -> FemOperators:
-    v = mesh.vertices
-    t = mesh.triangles
-    nt = len(t)
-    n = mesh.n_vertices
-
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+def _p1_elements(vertices, triangles):
+    """(areas, grads, ke, me) of P1 triangles; grads[t, i] = grad phi_i on t."""
+    t = triangles
+    a, b, c = vertices[t[:, 0]], vertices[t[:, 1]], vertices[t[:, 2]]
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
     )
     if np.any(det <= 0):
         raise FemError("degenerate or inverted triangle in assembly")
     areas = 0.5 * det
-
-    # gradients of the three barycentric basis functions
-    grads = np.empty((nt, 3, 2))
+    grads = np.empty((len(t), 3, 2))
     grads[:, 0, 0] = b[:, 1] - c[:, 1]
     grads[:, 0, 1] = c[:, 0] - b[:, 0]
     grads[:, 1, 0] = c[:, 1] - a[:, 1]
@@ -87,10 +82,17 @@ def assemble(mesh: TriMesh) -> FemOperators:
     grads[:, 2, 0] = a[:, 1] - b[:, 1]
     grads[:, 2, 1] = b[:, 0] - a[:, 0]
     grads /= det[:, None, None]
-
     ke = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = me_ref[None, :, :] * areas[:, None, None]
+    me = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * areas[:, None, None]
+    return areas, grads, ke, me
+
+
+def assemble(mesh: TriMesh) -> FemOperators:
+    v = mesh.vertices
+    t = mesh.triangles
+    n = mesh.n_vertices
+
+    areas, grads, ke, me = _p1_elements(v, t)
 
     rows = np.repeat(t, 3, axis=1).ravel()
     cols = np.tile(t, (1, 3)).ravel()

@@ -82,31 +82,38 @@ class HarnackReport:
         return out
 
 
-def _cubic_fit_coeffs(mesh, f, pts, tree=None, k=PATCH_K):
-    """Least-squares cubic models of the nodal f around each sample point.
+def _poly_fit(mesh, values, centers, degree, keep=None, k=PATCH_K):
+    """Least-squares polynomial models of a nodal field around each center.
 
-    Returns (c, R): c[b] holds the 10 coefficients in the monomial order
-    1, x, y, x2, xy, y2, x3, x2y, xy2, y3 with coordinates scaled by the
-    patch radius R[b] (distance to the k-th neighbor), so derivatives of the
-    model at the sample point are read off the low-order coefficients.
+    Each center is fitted on its k nearest mesh vertices (nearest among
+    ``keep`` if given).  Returns (c, R): c[b] holds the coefficients in the
+    monomial order 1, x, y, x2, xy, y2, x3, x2y, xy2, y3 (up to ``degree``)
+    with coordinates scaled by the patch radius R[b] (distance to the k-th
+    neighbor), so derivatives of the model at the center are read off the
+    low-order coefficients.
     """
-    k = min(k, mesh.n_vertices)
-    if k < 15:
-        raise HarnackError(f"mesh too small for cubic patches ({k} vertices)")
-    if tree is None:
-        tree = cKDTree(mesh.vertices)
-    d, idx = tree.query(pts, k=k)
+    v = mesh.vertices
+    points = v if keep is None else v[keep]
+    k = min(k, len(points))
+    ncoef = (degree + 1) * (degree + 2) // 2
+    if k < 3 * ncoef // 2:  # 15 points for a cubic, 9 for a quadratic
+        raise HarnackError(f"mesh too small for degree-{degree} patches ({k} points)")
+    d, idx = cKDTree(points).query(centers, k=k)
+    if keep is not None:
+        idx = keep[idx]
     R = d[:, -1]
-    dx = (mesh.vertices[idx] - pts[:, None, :]) / R[:, None, None]
-    x, y = dx[..., 0], dx[..., 1]
-    A = np.stack(
-        [np.ones_like(x), x, y, x * x, x * y, y * y,
-         x**3, x * x * y, x * y * y, y**3],
-        axis=-1,
-    )
-    AtA = np.einsum("bki,bkj->bij", A, A)
-    Atf = np.einsum("bki,bk->bi", A, f[idx])
-    c = np.linalg.solve(AtA, Atf[..., None])[..., 0]
+    x = (v[idx, 0] - centers[:, None, 0]) / R[:, None]
+    y = (v[idx, 1] - centers[:, None, 1]) / R[:, None]
+    # design matrix (b, ncoef, k); each degree's block is the previous one
+    # times x, plus its last monomial times y
+    A = np.empty((len(centers), ncoef, k))
+    A[:, 0] = 1.0
+    for p in range(1, degree + 1):
+        lo, hi = p * (p - 1) // 2, p * (p + 1) // 2
+        A[:, hi : hi + p] = A[:, lo:hi] * x[:, None]
+        A[:, hi + p] = A[:, hi - 1] * y
+    rhs = A @ values[idx][..., None]
+    c = np.linalg.solve(A @ A.transpose(0, 2, 1), rhs)[..., 0]
     return c, R
 
 
@@ -125,23 +132,7 @@ def _hessian_from_fits(mesh, f, layer_exclude: float = 1.5):
     spacing = np.linalg.norm(np.roll(bpos, -1, axis=0) - bpos, axis=1).mean()
     cutoff = layer_exclude * spacing
     keep = np.flatnonzero(mesh.interior_distance_to_boundary(cutoff) >= cutoff)
-    k = min(PATCH_K, len(keep))
-    if k < 15:
-        raise HarnackError(f"mesh too small for cubic patches ({k} fit points)")
-    tree = cKDTree(mesh.vertices[keep])
-    d, idx = tree.query(mesh.vertices, k=k)
-    idx = keep[idx]
-    R = d[:, -1]
-    dx = (mesh.vertices[idx] - mesh.vertices[:, None, :]) / R[:, None, None]
-    x, y = dx[..., 0], dx[..., 1]
-    A = np.stack(
-        [np.ones_like(x), x, y, x * x, x * y, y * y,
-         x**3, x * x * y, x * y * y, y**3],
-        axis=-1,
-    )
-    AtA = np.einsum("bki,bkj->bij", A, A)
-    Atf = np.einsum("bki,bk->bi", A, f[idx])
-    c = np.linalg.solve(AtA, Atf[..., None])[..., 0]
+    c, R = _poly_fit(mesh, f, mesh.vertices, 3, keep=keep)
     H = np.empty((len(f), 2, 2))
     H[:, 0, 0] = 2.0 * c[:, 3]
     H[:, 0, 1] = H[:, 1, 0] = c[:, 4]
@@ -205,7 +196,7 @@ def _nodal_w_field(state: BackwardSolveState, snapshot: int):
         dfdt += wk * conjugate.f_from_state(state, k)
         v += wk * state.meshes[k].vertices
     f = conjugate.f_from_state(state, snapshot)
-    c, R = _cubic_fit_coeffs(mesh, f, mesh.vertices)
+    c, R = _poly_fit(mesh, f, mesh.vertices, 3)
     gf = c[:, 1:3] / R[:, None]
     dtf = dfdt - np.einsum("ij,ij->i", v, gf)  # fixed-point time derivative
     tau = snaps[snapshot].tau
@@ -214,19 +205,7 @@ def _nodal_w_field(state: BackwardSolveState, snapshot: int):
 
 def _boundary_normal_gradient(mesh, W: np.ndarray) -> np.ndarray:
     """<grad W, nu> at boundary vertices from one-sided quadratic patches."""
-    nb = mesh.n_boundary
-    k = min(QUAD_K, mesh.n_vertices)
-    if k < 9:
-        raise HarnackError(f"mesh too small for quadratic patches ({k} vertices)")
-    tree = cKDTree(mesh.vertices)
-    d, idx = tree.query(mesh.vertices[:nb], k=k)
-    R = d[:, -1]
-    dx = (mesh.vertices[idx] - mesh.vertices[:nb, None, :]) / R[:, None, None]
-    x, y = dx[..., 0], dx[..., 1]
-    A = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
-    AtA = np.einsum("bki,bkj->bij", A, A)
-    Atw = np.einsum("bki,bk->bi", A, W[idx])
-    c = np.linalg.solve(AtA, Atw[..., None])[..., 0]
+    c, R = _poly_fit(mesh, W, mesh.vertices[: mesh.n_boundary], 2, k=QUAD_K)
     gW = c[:, 1:3] / R[:, None]
     nu = mesh.boundary_curve().outward_normal()
     return np.einsum("ij,ij->i", gW, nu)

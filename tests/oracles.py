@@ -1,10 +1,15 @@
-"""Dense reference implementations of the meshing and geometry kernels.
+"""Reference implementations of the library's fast kernels.
 
-Each is the straightforward O(N * m) form of a kernel the library computes
-with a spatial index; tests require the fast kernels to agree bit for bit.
+The meshing and geometry kernels are the straightforward O(N * m) forms of
+kernels the library computes with a spatial index; tests require the fast
+kernels to agree bit for bit.  The patch fits and the moving-mesh matrices
+are the earlier einsum/COO forms of the harnack and conjugate kernels; those
+sum in another order, so tests compare them to a tolerance.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 
 def points_polyline_distance(points, loop, chunk=4096):
@@ -57,4 +62,56 @@ def lost_boundary_edges(simplices, nb, n_vertices=None):
     return np.array(
         [i for i in range(nb) if frozenset((i, (i + 1) % nb)) not in edges],
         dtype=np.intp,
+    )
+
+
+def _monomials(x, y, degree):
+    cols = [np.ones_like(x), x, y, x * x, x * y, y * y]
+    if degree == 3:
+        cols += [x**3, x * x * y, x * y * y, y**3]
+    return np.stack(cols, axis=-1)
+
+
+def poly_fit(mesh, values, centers, degree, keep=None, k=45):
+    """Patch fits with a stacked design matrix and einsum normal equations."""
+    points = mesh.vertices if keep is None else mesh.vertices[keep]
+    k = min(k, len(points))
+    d, idx = cKDTree(points).query(centers, k=k)
+    if keep is not None:
+        idx = keep[idx]
+    R = d[:, -1]
+    dx = (mesh.vertices[idx] - centers[:, None, :]) / R[:, None, None]
+    A = _monomials(dx[..., 0], dx[..., 1], degree)
+    AtA = np.einsum("bki,bkj->bij", A, A)
+    Atf = np.einsum("bki,bk->bi", A, values[idx])
+    return np.linalg.solve(AtA, Atf[..., None])[..., 0], R
+
+
+def ale_matrices(vertices, triangles, w):
+    """K, M and C of the moving-mesh scheme, assembled through COO -> CSR."""
+    t = triangles
+    n = len(vertices)
+    a, b, c = vertices[t[:, 0]], vertices[t[:, 1]], vertices[t[:, 2]]
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+    areas = 0.5 * det
+    grads = np.empty((len(t), 3, 2))
+    grads[:, 0, 0] = b[:, 1] - c[:, 1]
+    grads[:, 0, 1] = c[:, 0] - b[:, 0]
+    grads[:, 1, 0] = c[:, 1] - a[:, 1]
+    grads[:, 1, 1] = a[:, 0] - c[:, 0]
+    grads[:, 2, 0] = a[:, 1] - b[:, 1]
+    grads[:, 2, 1] = b[:, 0] - a[:, 0]
+    grads /= det[:, None, None]
+    ke = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
+    me = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None] * areas[:, None, None]
+    wt = w[t]
+    wj = (wt.sum(axis=1, keepdims=True) + wt) / 12.0
+    ce = np.einsum("tid,tjd->tij", grads, wj) * areas[:, None, None]
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    return tuple(
+        sp.coo_matrix((e.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        for e in (ke, me, ce)
     )

@@ -102,7 +102,7 @@ class TestPipelines:
         assert float(payload["mu"]) == pytest.approx(np.log(1 - np.exp(-0.5)), abs=5e-3)
         manifest = json.loads((tmp_path / "t1" / "manifest.json").read_text())
         assert manifest["config"]["subcommand"] == "entropy"
-        assert set(manifest["versions"]) == {"python", "numpy", "entropylab"}
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy", "entropylab"}
         assert "entropy.csv" in manifest["outputs"]
 
     def test_validation_exit_code(self, capsys):
@@ -134,6 +134,39 @@ class TestPipelines:
         assert (tmp_path / "f1" / "flow.csv").read_bytes() == first
         assert sorted(os.listdir(cache_dir)) == entries
 
+    def test_cache_misses_after_a_code_change(self, tmp_path, capsys, monkeypatch):
+        args = [
+            "flow", "--domain", "disk:1", "--frac", "0.3", "--snapshots", "4",
+            "--vertices", "64", "--out", str(tmp_path), "--tag", "f3",
+        ]
+        assert cli.main(args) == cli.EXIT_OK
+        cache_dir = tmp_path / "f3" / "cache"
+        first = set(os.listdir(cache_dir))
+        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
+        hits = []
+        real = cli._Cache.get_or_run
+
+        def record(cache, stage, key_obj, fn):
+            value = real(cache, stage, key_obj, fn)
+            hits.append(cache.log[stage]["hit"])
+            return value
+
+        monkeypatch.setattr(cli._Cache, "get_or_run", record)
+        assert cli.main(args) == cli.EXIT_OK
+        assert cli.main(args) == cli.EXIT_OK
+        assert hits == [False, True]
+        second = set(os.listdir(cache_dir)) - first
+        assert len(second) == 1 and second.pop().startswith("flow-")
+
+    def test_code_fingerprint_covers_numpy_and_scipy(self, monkeypatch):
+        base = cli._code_fingerprint()
+        assert cli._code_fingerprint() == base
+        monkeypatch.setattr(cli.scipy, "__version__", "0.0")
+        assert cli._code_fingerprint() != base
+        monkeypatch.undo()
+        monkeypatch.setattr(cli.np, "__version__", "0.0")
+        assert cli._code_fingerprint() != base
+
     def test_flow_samples_the_exact_curve(self, tmp_path, capsys):
         rc = cli.main([
             "flow", "--domain", "disk:1", "--vertices", "2048", "--frac", "0.002",
@@ -162,6 +195,17 @@ class TestPipelines:
                 if r <= 0.5:
                     exact = 4.0 / 3.0 * np.pi * r**3
                     assert row[key] == pytest.approx(exact, rel=1e-3, abs=5 * row["mc_error"])
+
+    def test_collapse_flat_slab_in_3d_with_mean_curvature(self, tmp_path, capsys):
+        rc = cli.main([
+            "collapse", "--domain", "analytic:slab:1:3", "--beta", "mean_curvature",
+            "--radii", "list:2,4", "--budget", "10000",
+            "--out", str(tmp_path), "--tag", "s3",
+        ])
+        assert rc == cli.EXIT_OK
+        lines = (tmp_path / "s3" / "collapse.csv").read_text().splitlines()
+        col = lines[0].split(",").index("beta_integral")
+        assert [float(ln.split(",")[col]) for ln in lines[1:]] == [0.0, 0.0]
 
     def test_logsobolev_run(self, tmp_path, capsys):
         rc = cli.main([

@@ -36,7 +36,7 @@ class TestPatchFits:
     def test_cubic_fit_gradient_exact_on_cubics(self, disk_ops):
         v = disk_ops.mesh.vertices
         f = v[:, 0] ** 3 - 2.0 * v[:, 0] * v[:, 1] ** 2 + v[:, 1]
-        c, R = hk._cubic_fit_coeffs(disk_ops.mesh, f, v)
+        c, R = hk._poly_fit(disk_ops.mesh, f, v, 3)
         g = c[:, 1:3] / R[:, None]
         gx = 3.0 * v[:, 0] ** 2 - 2.0 * v[:, 1] ** 2
         gy = -4.0 * v[:, 0] * v[:, 1] + 1.0

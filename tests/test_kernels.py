@@ -1,8 +1,11 @@
-"""The indexed meshing and geometry kernels against their dense oracles.
+"""The library's fast kernels against their oracles in ``tests/oracles.py``.
 
-The fast kernels only skip (point, segment) pairs that cannot matter, and
-compute every remaining pair with the dense arithmetic, so they must agree
-with ``tests/oracles.py`` bit for bit, and so must the meshes built on them.
+The indexed meshing and geometry kernels only skip (point, segment) pairs
+that cannot matter, and compute every remaining pair with the dense
+arithmetic, so they must agree with the oracles bit for bit, and so must the
+meshes built on them.  The batched patch fits and the fixed-pattern ALE
+matrices sum in another order than their einsum/COO oracles, so they are
+held to rounding-level tolerances.
 """
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entropylab import meshing
+from entropylab import conjugate, fem, harnack, meshing
 from entropylab.geometry import GeometryError, PlanarCurve
 from entropylab.meshing import triangulate
 
@@ -132,3 +135,106 @@ def test_triangulate_identical_with_oracles(monkeypatch, curve, h):
     for name in ("vertices", "triangles", "boundary_param"):
         a, b = getattr(fast, name), getattr(dense, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _random_mesh(seed):
+    """A triangulated random ellipse with its interior vertices jittered."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.6, 1.5, 2)
+    mesh = triangulate(PlanarCurve.ellipse(a, b, 64), rng.uniform(0.08, 0.2))
+    v = mesh.vertices.copy()
+    v[mesh.n_boundary:] += rng.normal(0.0, 0.05 * mesh.h, (len(v) - mesh.n_boundary, 2))
+    return mesh.with_vertices(v), rng
+
+
+meshes = dict(seed=st.integers(0, 2**32 - 1))
+
+
+class TestNumericKernelsAgainstOracles:
+    @given(**meshes, degree=st.sampled_from([2, 3]), subset=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_poly_fit(self, seed, degree, subset):
+        mesh, rng = _random_mesh(seed)
+        n = mesh.n_vertices
+        keep = np.sort(rng.choice(n, int(0.7 * n), replace=False)) if subset else None
+        values = np.sin(3.0 * mesh.vertices[:, 0]) * np.exp(mesh.vertices[:, 1])
+        # the library fits at mesh vertices; off-vertex centers inside the
+        # domain are added, but none outside it, where the patches are
+        # extrapolations whose normal equations have no useful conditioning
+        extra = rng.uniform(-1.0, 1.0, (40, 2))
+        extra = extra[mesh.boundary_curve().contains_points(extra)]
+        centers = np.vstack([mesh.vertices, extra])
+        k = harnack.QUAD_K if degree == 2 else harnack.PATCH_K
+        c, R = harnack._poly_fit(mesh, values, centers, degree, keep=keep, k=k)
+        c_ref, R_ref = oracles.poly_fit(mesh, values, centers, degree, keep=keep, k=k)
+        assert np.array_equal(R, R_ref)
+        assert np.abs(c - c_ref).max() <= 1e-10 * np.abs(c_ref).max()
+
+    @given(**meshes, theta=st.sampled_from([0.5, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_ale_fixed_pattern(self, seed, theta):
+        mesh, rng = _random_mesh(seed)
+        asm = conjugate._AleAssembler(mesh)
+        verts = mesh.vertices
+        for _ in range(2):  # the second step runs on the carried K and M
+            ds = rng.uniform(1e-4, 1e-2)
+            new = verts + rng.normal(0.0, 0.02 * mesh.h, verts.shape)
+            w = (new - verts) / ds
+            A, B, mass = asm.step(new, w, ds, theta)
+            K_o, M_o, C_o = oracles.ale_matrices(verts, mesh.triangles, w)
+            K_n, M_n, C_n = oracles.ale_matrices(new, mesh.triangles, w)
+            A_ref = M_n + theta * ds * (K_n + C_n)
+            B_ref = M_o - (1.0 - theta) * ds * (K_o + C_o)
+            for got, ref in ((A, A_ref), (B, B_ref)):
+                assert abs(got - ref).max() <= 1e-13 * abs(ref).max()
+            m_ref = np.asarray(M_n.sum(axis=1)).ravel()
+            assert np.abs(mass - m_ref).max() <= 1e-13 * m_ref.max()
+            areas, grads = asm._old[:2]
+            C = asm._matrix(asm._convection(areas, grads, w))
+            assert abs(C - C_n).max() <= 1e-13 * abs(C_n).max()
+            assert np.abs(C.sum(axis=0)).max() <= 1e-13 * abs(C).max()
+            verts = new
+
+    @given(**meshes)
+    @settings(max_examples=20, deadline=None)
+    def test_fem_assemble_unchanged(self, seed):
+        # fem.assemble shares the element kernel and keeps its COO -> CSR path,
+        # so it must reproduce the pre-refactor element code bit for bit
+        mesh, _ = _random_mesh(seed)
+        ops = fem.assemble(mesh)
+        K, M, _ = oracles.ale_matrices(mesh.vertices, mesh.triangles,
+                                       np.zeros_like(mesh.vertices))
+        for got, ref in ((ops.K, K), (ops.M, M)):
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+    def test_ale_pattern_past_int32_keys(self):
+        # Qhull gives int32 triangles; with n > 46,340 vertices the pattern key
+        # col * n + row no longer fits in int32
+        small, rng = _random_mesh(7)
+        n = 50_000
+        off = n - small.n_vertices
+        verts = np.zeros((n, 2))
+        verts[off:] = small.vertices
+        tri = (small.triangles + off).astype(np.int32)
+        mesh = meshing.TriMesh(verts, tri, small.n_boundary,
+                               small.boundary_param, small.h)
+        asm = conjugate._AleAssembler(mesh)
+        new = verts.copy()
+        new[off:] += rng.normal(0.0, 0.02 * small.h, small.vertices.shape)
+        w = (new - verts) / 0.01
+        A, B, mass = asm.step(new, w, 0.01, 0.5)
+        K_o, M_o, C_o = oracles.ale_matrices(verts, tri, w)
+        K_n, M_n, C_n = oracles.ale_matrices(new, tri, w)
+        A_ref = M_n + 0.005 * (K_n + C_n)
+        B_ref = M_o - 0.005 * (K_o + C_o)
+        for got, ref in ((A, A_ref), (B, B_ref)):
+            assert abs(got - ref).max() <= 1e-13 * abs(ref).max()
+        m_ref = np.asarray(M_n.sum(axis=1)).ravel()
+        assert np.abs(mass - m_ref).max() <= 1e-13 * m_ref.max()
+
+    def test_ale_rejects_inverted_mesh(self, small_mesh):
+        asm = conjugate._AleAssembler(small_mesh)
+        flipped = small_mesh.vertices * np.array([-1.0, 1.0])
+        with pytest.raises(conjugate.ConjugateError, match="inverted"):
+            asm.step(flipped, np.zeros_like(flipped), 0.01, 0.5)
