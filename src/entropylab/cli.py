@@ -138,6 +138,10 @@ class RunConfig:
             raise ValidationError("need at least 16 boundary vertices")
         if not self.tol > 0:
             raise ValidationError("tol must be positive")
+        if not self.steps_per_tau > 0:
+            raise ValidationError("steps-per-tau must be positive")
+        if self.skip < 0:
+            raise ValidationError("skip must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -268,21 +272,12 @@ class RunManifest:
 def emit_plot_data(report, path: str):
     """Whitespace-separated columns with a '#' header, one row per record.
 
-    Works for any report exposing COLUMNS and column(name); columns whose
-    values are missing are omitted and noted in the header.
+    Works for any report exposing COLUMNS and column(name).
     """
-    cols, missing = [], []
-    for name in report.COLUMNS:
-        try:
-            cols.append((name, report.column(name)))
-        except KeyError:
-            missing.append(name)
-    header = "# " + " ".join(name for name, _ in cols)
-    if missing:
-        header += "\n# omitted (not computed): " + " ".join(missing)
-    lines = [header]
-    for i in range(len(cols[0][1])):
-        lines.append(" ".join(_fmt(arr[i]) for _, arr in cols))
+    cols = [report.column(name) for name in report.COLUMNS]
+    lines = ["# " + " ".join(report.COLUMNS)]
+    for i in range(len(cols[0])):
+        lines.append(" ".join(_fmt(arr[i]) for arr in cols))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -394,7 +389,7 @@ def _flow_stage(cfg: RunConfig, cache: _Cache):
         c = curve
         if len(c) != cfg.vertices:
             c = geometry.PlanarCurve(
-                conjugate.boundary_positions(
+                conjugate.interp_periodic(
                     c.vertices, np.arange(cfg.vertices) * len(c) / cfg.vertices
                 )
             )
@@ -507,9 +502,7 @@ def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
     )
     cpath = os.path.join(out, "collapse.csv")
     _write_csv(
-        cpath,
-        ("r", "V_half", "V_full", "beta_integral", "c1", "ratio", "mc_error"),
-        [[row[name] for name in scan.COLUMNS] for row in scan.rows],
+        cpath, scan.COLUMNS, [[row[name] for name in scan.COLUMNS] for row in scan.rows]
     )
     ppath = os.path.join(out, "collapse.dat")
     emit_plot_data(scan, ppath)
@@ -674,60 +667,63 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--domain", default="disk:1")
-        sp.add_argument("--tau", type=float, default=0.5)
-        sp.add_argument("--h", type=float, default=0.02)
-        sp.add_argument("--beta", default="zero")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default="runs")
-        sp.add_argument("--tag", default="run")
+    def command(name, hlp):
+        # no abbreviations: "--h" on a subcommand without --h is an error,
+        # not a request for --help
+        return sub.add_parser(name, help=hlp, allow_abbrev=False)
 
-    sp = sub.add_parser("entropy", help="minimize W_beta, report mu")
-    common(sp)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    def base(sp, *names):
+        """The shared flags the subcommand's pipeline reads, plus --out, --tag."""
+        for name in names + ("out", "tag"):
+            default = getattr(RunConfig, name)
+            sp.add_argument(f"--{name}", type=type(default), default=default)
 
-    sp = sub.add_parser("flow", help="curve shortening flow snapshots")
-    common(sp)
-    sp.add_argument("--frac", type=float, default=0.5)
-    sp.add_argument("--snapshots", type=int, default=21)
-    sp.add_argument("--dt-scale", dest="dt_scale", type=float, default=1.0)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--vertices", type=int, default=512)
-
-    for name, hlp in (
-        ("conjugate", "backward conjugate heat solve along the flow"),
-        ("harnack", "rate identity and Harnack integrand checks"),
-    ):
-        sp = sub.add_parser(name, help=hlp)
-        common(sp)
+    def flow_chain(sp):
+        # --h is read from conjugate on; flow accepts it so that one argv
+        # drives the whole chain
+        base(sp, "domain", "h")
         sp.add_argument("--frac", type=float, default=0.5)
         sp.add_argument("--snapshots", type=int, default=21)
         sp.add_argument("--dt-scale", dest="dt_scale", type=float, default=1.0)
         sp.add_argument("--a", type=float, default=None)
         sp.add_argument("--vertices", type=int, default=512)
+
+    def steps_per_tau(sp):
         sp.add_argument("--steps-per-tau", dest="steps_per_tau",
                         type=float, default=500.0)
-        if name == "harnack":
-            sp.add_argument("--skip", type=int, default=harnack.DEFAULT_SKIP)
 
-    sp = sub.add_parser("collapse", help="volume-ratio scans")
-    common(sp)
+    sp = command("entropy", "minimize W_beta, report mu")
+    base(sp, "domain", "tau", "h", "beta")
+    sp.add_argument("--tol", type=float, default=1e-8)
+
+    sp = command("flow", "curve shortening flow snapshots")
+    flow_chain(sp)
+
+    sp = command("conjugate", "backward conjugate heat solve along the flow")
+    flow_chain(sp)
+    steps_per_tau(sp)
+
+    sp = command("harnack", "rate identity and Harnack integrand checks")
+    flow_chain(sp)
+    steps_per_tau(sp)
+    sp.add_argument("--skip", type=int, default=harnack.DEFAULT_SKIP)
+
+    sp = command("collapse", "volume-ratio scans")
+    base(sp, "domain", "beta", "seed")
     sp.add_argument("--radii", default="geometric:4,512")
     sp.add_argument("--centers", default="origin")
     sp.add_argument("--budget", type=int, default=collapse.DEFAULT_BUDGET)
 
-    sp = sub.add_parser("logsobolev", help="log-Sobolev inequality checks")
-    common(sp)
+    sp = command("logsobolev", "log-Sobolev inequality checks")
+    base(sp, "domain", "h", "seed")
     sp.add_argument("--eps", default="0.1,1,10")
     sp.add_argument("--fields", type=int, default=100)
 
-    sp = sub.add_parser("verify", help="acceptance batteries")
-    common(sp)
+    sp = command("verify", "acceptance batteries")
+    base(sp, "h", "seed")
     sp.add_argument("--suite", default="shrinker",
                     choices=("shrinker", "collapse"))
-    sp.add_argument("--steps-per-tau", dest="steps_per_tau",
-                    type=float, default=500.0)
+    steps_per_tau(sp)
     sp.add_argument("--budget", type=int, default=collapse.DEFAULT_BUDGET)
     return p
 

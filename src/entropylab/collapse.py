@@ -19,6 +19,7 @@ from .geometry import AnalyticDomain, GeometryError, PlanarCurve
 
 DEFAULT_BUDGET = 10**6
 N_REPLICATES = 8
+BETA_SPECS = ("zero", "mean_curvature")
 
 
 class CollapseError(ValueError):
@@ -26,6 +27,18 @@ class CollapseError(ValueError):
 
 
 # -- exact polygon / circle intersection area ----------------------------
+
+
+def _circle_crossings(a, d, dd: float, r2: float) -> list:
+    """Sorted parameters [0, hits..., 1] of the segment a + t d, t in [0, 1],
+    with the interior hits t where |a + t d|^2 = r^2."""
+    ts = [0.0]
+    disc = (a @ d) ** 2 - dd * (a @ a - r2)
+    if disc > 0.0:
+        root = np.sqrt(disc)
+        ts += [t for t in ((-(a @ d) - root) / dd, (-(a @ d) + root) / dd)
+               if 0.0 < t < 1.0]
+    return ts + [1.0]
 
 
 def _polygon_circle_area(vertices: np.ndarray, center, r: float) -> float:
@@ -45,15 +58,7 @@ def _polygon_circle_area(vertices: np.ndarray, center, r: float) -> float:
         dd = d @ d
         if dd == 0.0:
             continue
-        # |a + t d|^2 = r^2
-        t_hits = []
-        disc = (a @ d) ** 2 - dd * (a @ a - r2)
-        if disc > 0.0:
-            root = np.sqrt(disc)
-            for t in ((-(a @ d) - root) / dd, (-(a @ d) + root) / dd):
-                if 0.0 < t < 1.0:
-                    t_hits.append(t)
-        ts = [0.0] + sorted(t_hits) + [1.0]
+        ts = _circle_crossings(a, d, dd, r2)
         for t0, t1 in zip(ts[:-1], ts[1:]):
             mid = a + 0.5 * (t0 + t1) * d
             s0 = a + t0 * d
@@ -160,31 +165,10 @@ def ball_intersection_volume(domain, center, r: float, budget: int = DEFAULT_BUD
 # -- boundary integrals of |beta| ----------------------------------------
 
 
-def _beta_values(domain, points, normals, curvatures, beta_spec):
-    if callable(beta_spec):
-        return np.abs(beta_spec(points))
-    if beta_spec == "zero":
-        return np.zeros(len(points))
-    if beta_spec == "mean_curvature":
-        return np.abs(curvatures)
-    if isinstance(beta_spec, tuple) and beta_spec[0] == "radial":
-        tau = float(beta_spec[1])
-        return np.abs(np.einsum("ij,ij->i", points, normals) / (2.0 * tau))
-    if isinstance(beta_spec, tuple) and beta_spec[0] == "file":
-        return np.abs(np.asarray(beta_spec[1], dtype=float))
-    raise CollapseError(f"unsupported beta spec {beta_spec!r}")
-
-
-def _polyline_boundary_integral(curve: PlanarCurve, center, r, beta_spec):
-    """int |beta| ds over the part of the polyline inside B_r, segment-exact."""
-    v = curve.vertices
-    m = len(v)
-    kappa = curve.curvature()
-    nu = curve.outward_normal()
-    beta = _beta_values(None, v, nu, kappa, beta_spec)
-    if len(beta) != m:
-        raise CollapseError("per-vertex beta has wrong length")
-    p = v - np.asarray(center, dtype=float)
+def _polyline_boundary_integral(curve: PlanarCurve, center, r):
+    """int |H| ds over the part of the polyline inside B_r, segment-exact."""
+    beta = np.abs(curve.curvature())
+    p = curve.vertices - np.asarray(center, dtype=float)
     q = np.roll(p, -1, axis=0)
     b2 = np.roll(beta, -1)
     total = 0.0
@@ -194,13 +178,7 @@ def _polyline_boundary_integral(curve: PlanarCurve, center, r, beta_spec):
         dd = d @ d
         if dd == 0.0:
             continue
-        disc = (a @ d) ** 2 - dd * (a @ a - r2)
-        ts = [0.0, 1.0]
-        if disc > 0.0:
-            root = np.sqrt(disc)
-            ts += [t for t in ((-(a @ d) - root) / dd, (-(a @ d) + root) / dd)
-                   if 0.0 < t < 1.0]
-        ts.sort()
+        ts = _circle_crossings(a, d, dd, r2)
         seg_len = np.sqrt(dd)
         for t0, t1 in zip(ts[:-1], ts[1:]):
             mid = a + 0.5 * (t0 + t1) * d
@@ -212,47 +190,31 @@ def _polyline_boundary_integral(curve: PlanarCurve, center, r, beta_spec):
 
 def boundary_beta_integral(domain, center, r: float, beta_spec,
                            resolution: int = 200_001) -> float:
-    """int_{boundary(Omega) n B_r(center)} |beta| dS."""
+    """int_{boundary(Omega) n B_r(center)} |beta| dS for beta_spec "zero"
+    or "mean_curvature" (|beta| = |H|)."""
+    if beta_spec not in BETA_SPECS:
+        raise CollapseError(f"unsupported beta spec {beta_spec!r}")
     if r <= 0:
         raise CollapseError("ball radius must be positive")
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if isinstance(domain, PlanarCurve):
-        return float(_polyline_boundary_integral(domain, center, r, beta_spec))
-    if not isinstance(domain, AnalyticDomain):
+    if not isinstance(domain, (PlanarCurve, AnalyticDomain)):
         raise CollapseError(f"unsupported domain {type(domain).__name__}")
-    v = domain.variant
-
     if beta_spec == "zero":
         return 0.0
-    if v in ("half_plane", "slab", "catenoid_3d") and beta_spec == "mean_curvature":
+    if isinstance(domain, PlanarCurve):
+        return float(_polyline_boundary_integral(domain, center, r))
+    v = domain.variant
+
+    if v in ("half_plane", "slab", "catenoid_3d"):
         return 0.0  # flat (half-plane, slab) or minimal (catenoid) boundaries
 
     if v in ("disk", "ellipse"):
         curve = domain.boundary_curve(4096)
-        return float(_polyline_boundary_integral(curve, center, r, beta_spec))
-
-    if v == "slab":
-        d, dim = domain.params[0], domain.dim
-        if dim != 2:
-            raise CollapseError("slab boundary integral implemented in 2D")
-        total = 0.0
-        for side in (-d, d):
-            dy = side - center[1]
-            if abs(dy) >= r:
-                continue
-            half = np.sqrt(r * r - dy * dy)
-            xs = np.linspace(center[0] - half, center[0] + half, 4097)
-            pts = np.column_stack([xs, np.full_like(xs, side)])
-            nus = np.tile([0.0, np.sign(side)], (len(xs), 1))
-            vals = _beta_values(domain, pts, nus, np.zeros(len(xs)), beta_spec)
-            total += np.trapezoid(vals, xs)
-        return float(total)
+        return float(_polyline_boundary_integral(curve, center, r))
 
     if v in ("grim_reaper_2d", "grim_reaper_product"):
         if domain.dim != 2:
             raise CollapseError("grim reaper boundary integral implemented in 2D")
-        if beta_spec != "mean_curvature":
-            raise CollapseError("grim reaper boundary supports beta = H only")
         # H ds = dx1 exactly (H = cos x1, ds = dx1 / cos x1): the integral is
         # the x1-measure of the in-ball part of the curve, to grid resolution
         x1 = np.linspace(-np.pi / 2, np.pi / 2, resolution + 1)[1:-1]
@@ -262,8 +224,6 @@ def boundary_beta_integral(domain, center, r: float, beta_spec,
 
     if v == "ball":
         R, dim = domain.params
-        if beta_spec != "mean_curvature":
-            raise CollapseError("sphere boundary supports beta = H only")
         H = (dim - 1) / R
         if np.linalg.norm(center) + R <= r:  # sphere fully inside the ball
             surf = {2: 2 * np.pi * R, 3: 4 * np.pi * R**2}.get(int(dim))
@@ -301,6 +261,8 @@ def ratio_scan(domain, centers, radii, beta_spec="zero",
     c1 <= c1_bound.  Rows with an empty half-ball get c1 = inf and are
     flagged, not dropped.
     """
+    if beta_spec not in BETA_SPECS:
+        raise CollapseError(f"unsupported beta spec {beta_spec!r}")
     centers = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
     radii = [float(r) for r in radii]
     if not centers or not radii:

@@ -72,15 +72,6 @@ def f_from_state(state: BackwardSolveState, snapshot: int) -> np.ndarray:
     return functional.f_from_u(u, tau)
 
 
-def boundary_positions(curve_vertices: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Positions at fractional vertex indices along a closed polygon."""
-    m = len(curve_vertices)
-    i0 = np.floor(params).astype(int) % m
-    frac = params - np.floor(params)
-    i1 = (i0 + 1) % m
-    return curve_vertices[i0] * (1 - frac)[:, None] + curve_vertices[i1] * frac[:, None]
-
-
 def end_data(
     trajectory: FlowTrajectory,
     t0_index: int = -1,
@@ -105,10 +96,16 @@ def end_data(
 
 
 def interp_periodic(values: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Linear interpolation of a per-curve-vertex field at fractional indices."""
+    """Linear interpolation along a closed polygon at fractional vertex indices.
+
+    ``values`` is a per-vertex field, scalar (m,) or vector (m, 2); vertex
+    positions give the points of the polygon itself.
+    """
     m = len(values)
     i0 = np.floor(params).astype(int) % m
     frac = params - np.floor(params)
+    if values.ndim > 1:
+        frac = frac[:, None]
     return values[i0] * (1 - frac) + values[(i0 + 1) % m] * frac
 
 
@@ -274,7 +271,7 @@ def backward_solve(
         for j in range(1, k + 1):
             t_new = sub[j]
             ds = sub[j - 1] - t_new
-            b_new = boundary_positions(curve_at(t_new), params)
+            b_new = interp_periodic(curve_at(t_new), params)
             disp = extend(b_new - verts[:nb])
             new_verts = verts + disp
             w = disp / ds

@@ -1,8 +1,8 @@
-"""P1 finite element assembly, gradient/Hessian recovery and interpolation."""
+"""P1 finite element assembly, gradient recovery and interpolation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,20 +30,6 @@ class FemOperators:
     boundary_weights: np.ndarray
     grads: np.ndarray  # (n_tri, 3, 2) P1 basis gradients per triangle
     areas: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def boundary_matrix(self, weight) -> sp.csr_matrix:
-        """Lumped boundary mass with nodal weight w: diag(w_i * ds_i)."""
-        w = np.asarray(weight, dtype=float)
-        vals = self.boundary_weights.copy()
-        if w.ndim == 0:
-            vals *= float(w)
-        else:
-            nb = self.mesh.n_boundary
-            full = np.zeros(self.mesh.n_vertices)
-            full[:nb] = w
-            vals *= full
-        return sp.diags(vals).tocsr()
 
     def boundary_load(self, weight) -> np.ndarray:
         """Lumped boundary load vector l_i = w_i * ds_i."""
@@ -130,18 +116,6 @@ def recover_gradient(ops: FemOperators, f) -> np.ndarray:
     if np.any(wsum == 0):
         raise FemError("isolated vertex in gradient recovery")
     return acc / wsum[:, None]
-
-
-def recover_hessian(ops: FemOperators, f) -> np.ndarray:
-    """ZZ-style double recovery: nodal symmetric 2x2 Hessian, shape (n, 2, 2)."""
-    g = recover_gradient(ops, f)
-    hx = recover_gradient(ops, g[:, 0])
-    hy = recover_gradient(ops, g[:, 1])
-    H = np.empty((ops.mesh.n_vertices, 2, 2))
-    H[:, 0, 0] = hx[:, 0]
-    H[:, 1, 1] = hy[:, 1]
-    H[:, 0, 1] = H[:, 1, 0] = 0.5 * (hx[:, 1] + hy[:, 0])
-    return H
 
 
 def _barycentric(mesh: TriMesh, tri_idx, points):

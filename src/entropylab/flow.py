@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .geometry import GeometryError, PlanarCurve
+from .geometry import GeometryError, PlanarCurve, _is_embedded
 
 
 class FlowError(RuntimeError):
@@ -41,10 +41,6 @@ class FlowTrajectory:
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
-
-    def snapshot_at(self, t: float) -> Snapshot:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.snapshots[i]
 
     def to_records(self):
         return [
@@ -75,51 +71,6 @@ class FlowTrajectory:
 
 def _segment_lengths(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.roll(x, -1, axis=0) - x, axis=1)
-
-
-def _is_embedded(x: np.ndarray) -> bool:
-    """Self-intersection test by plane sweep over segment x-intervals.
-
-    Candidate pairs are segments whose x-intervals overlap (then filtered by
-    y-interval overlap); the exact crossing test runs only on those.  For
-    well-spaced curves this is effectively O(m log m).
-    """
-    m = len(x)
-    d = np.roll(x, -1, axis=0) - x
-    e = x + d
-    xmin = np.minimum(x[:, 0], e[:, 0])
-    xmax = np.maximum(x[:, 0], e[:, 0])
-    ymin = np.minimum(x[:, 1], e[:, 1])
-    ymax = np.maximum(x[:, 1], e[:, 1])
-    order = np.argsort(xmin, kind="stable")
-    ends = np.searchsorted(xmin[order], xmax[order], side="right")
-    k = np.arange(m)
-    counts = np.maximum(ends - k - 1, 0)
-    tot = int(counts.sum())
-    if tot == 0:
-        return True
-    ii = np.repeat(k, counts)
-    jj = (np.arange(tot) - np.repeat(np.cumsum(counts) - counts, counts)) + ii + 1
-    a = order[ii]
-    b = order[jj]
-    diff = (a - b) % m
-    keep = (diff != 1) & (diff != m - 1) & (diff != 0)
-    keep &= (ymin[a] <= ymax[b]) & (ymin[b] <= ymax[a])
-    a, b = a[keep], b[keep]
-    if not len(a):
-        return True
-    r = d[a]
-    s = d[b]
-    pqx = x[b, 0] - x[a, 0]
-    pqy = x[b, 1] - x[a, 1]
-    rxs = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
-    qpxr = pqx * r[:, 1] - pqy * r[:, 0]
-    qpxs = pqx * s[:, 1] - pqy * s[:, 0]
-    # t = qpxs/rxs, u = qpxr/rxs; the in-(0,1) test is done division-free
-    t = qpxs * rxs
-    u = qpxr * rxs
-    rxs2 = rxs * rxs
-    return not bool(np.any((t > 0) & (t < rxs2) & (u > 0) & (u < rxs2)))
 
 
 def _cyclic_tridiag_solve(a, b, c, rhs):
@@ -195,20 +146,6 @@ def _step_raw(x: np.ndarray, dt: float) -> np.ndarray:
     rhs = x + 0.5 * _apply_lap(x, am, ap)
     new = _cyclic_tridiag_solve(-0.5 * am, 1.0 + 0.5 * (am + ap), -0.5 * ap, rhs)
     return _resample_uniform(new)
-
-
-def csf_step(curve: PlanarCurve, dt: float) -> PlanarCurve:
-    """One semi-implicit curve-shortening step followed by redistribution."""
-    x = curve.vertices
-    min_seg = curve.edge_lengths().min()
-    if dt > 0.4 * min_seg**2 * (1 + 1e-12):
-        raise FlowError(
-            f"dt={dt:.3g} exceeds stability bound 0.4*min_seg^2={0.4*min_seg**2:.3g}"
-        )
-    new = _step_raw(x, dt)
-    if not _is_embedded(new):
-        raise FlowError("curve self-intersected during step")
-    return PlanarCurve(new, check_embedded=False)
 
 
 def _max_turning_per_length(x: np.ndarray) -> float:

@@ -9,7 +9,7 @@ sum(kappa_i * ds_i) = 2*pi exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +27,49 @@ def _as_vertex_array(vertices) -> np.ndarray:
     return v
 
 
-def segments_intersect(p1, p2, q1, q2) -> np.ndarray:
-    """Vectorized proper-intersection test for segment pairs."""
+def _is_embedded(x: np.ndarray) -> bool:
+    """Self-intersection test of the closed polyline x by plane sweep.
 
-    def orient(a, b, c):
-        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
-            b[..., 1] - a[..., 1]
-        ) * (c[..., 0] - a[..., 0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return (d1 * d2 < 0) & (d3 * d4 < 0)
+    Candidate pairs are segments whose x-intervals overlap (then filtered by
+    y-interval overlap); the exact crossing test runs only on those.  For
+    well-spaced curves this is effectively O(m log m).
+    """
+    m = len(x)
+    d = np.roll(x, -1, axis=0) - x
+    e = x + d
+    xmin = np.minimum(x[:, 0], e[:, 0])
+    xmax = np.maximum(x[:, 0], e[:, 0])
+    ymin = np.minimum(x[:, 1], e[:, 1])
+    ymax = np.maximum(x[:, 1], e[:, 1])
+    order = np.argsort(xmin, kind="stable")
+    ends = np.searchsorted(xmin[order], xmax[order], side="right")
+    k = np.arange(m)
+    counts = np.maximum(ends - k - 1, 0)
+    tot = int(counts.sum())
+    if tot == 0:
+        return True
+    ii = np.repeat(k, counts)
+    jj = _ragged_arange(counts) + ii + 1
+    a = order[ii]
+    b = order[jj]
+    diff = (a - b) % m
+    keep = (diff != 1) & (diff != m - 1) & (diff != 0)
+    keep &= (ymin[a] <= ymax[b]) & (ymin[b] <= ymax[a])
+    a, b = a[keep], b[keep]
+    if not len(a):
+        return True
+    r = d[a]
+    s = d[b]
+    pqx = x[b, 0] - x[a, 0]
+    pqy = x[b, 1] - x[a, 1]
+    rxs = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    qpxr = pqx * r[:, 1] - pqy * r[:, 0]
+    qpxs = pqx * s[:, 1] - pqy * s[:, 0]
+    # t = qpxs/rxs, u = qpxr/rxs; the in-(0,1) test is done division-free
+    t = qpxs * rxs
+    u = qpxr * rxs
+    rxs2 = rxs * rxs
+    return not bool(np.any((t > 0) & (t < rxs2) & (u > 0) & (u < rxs2)))
 
 
 @dataclass
@@ -48,7 +78,6 @@ class PlanarCurve:
 
     vertices: np.ndarray
     check_embedded: bool = True
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = _as_vertex_array(self.vertices)
@@ -98,16 +127,8 @@ class PlanarCurve:
         return np.array([cx, cy])
 
     def is_embedded(self) -> bool:
-        """O(m^2) sweep over non-adjacent segment pairs."""
-        v = self.vertices
-        m = len(v)
-        w = np.roll(v, -1, axis=0)
-        i, j = np.triu_indices(m, k=2)
-        # segments (m-1, 0) and (0, 1) are adjacent through the wrap-around
-        keep = ~((i == 0) & (j == m - 1))
-        i, j = i[keep], j[keep]
-        hits = segments_intersect(v[i], w[i], v[j], w[j])
-        return not bool(hits.any())
+        """True if no two non-adjacent edges cross."""
+        return _is_embedded(self.vertices)
 
     # -- differential quantities ----------------------------------------
 
@@ -166,11 +187,6 @@ class PlanarCurve:
         return (fp * hm**2 - fm * hp**2 + f * (hp**2 - hm**2)) / (
             hm * hp * (hm + hp)
         )
-
-    def second_fundamental_quadratic(self, tangential_magnitude) -> np.ndarray:
-        """A(V, V) = kappa * V^2 for a tangential field of magnitude V."""
-        V = np.asarray(tangential_magnitude, dtype=float)
-        return self.curvature() * V**2
 
     # -- construction helpers -------------------------------------------
 
@@ -386,37 +402,6 @@ class AnalyticDomain:
                 a * b / (a**2 * np.sin(th) ** 2 + b**2 * np.cos(th) ** 2) ** 1.5
             )
         raise GeometryError(f"no boundary curvature for {self.variant!r}")
-
-    def boundary_normal(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        if self.variant == "disk":
-            R, cx, cy = self.params
-            d = p - np.array([cx, cy])
-            return d / np.linalg.norm(d)
-        if self.variant == "ball":
-            return p / np.linalg.norm(p)
-        if self.variant == "half_plane":
-            nu = np.zeros_like(p)
-            nu[-1] = 1.0
-            return nu
-        if self.variant == "slab":
-            nu = np.zeros_like(p)
-            nu[-1] = np.sign(p[-1]) or 1.0
-            return nu
-        if self.variant in ("grim_reaper_2d", "grim_reaper_product"):
-            if abs(p[-2]) >= np.pi / 2:
-                raise GeometryError(
-                    "grim reaper boundary is parametrized over |x1| < pi/2"
-                )
-            nu = np.zeros_like(p)
-            nu[-2] = np.sin(p[-2])
-            nu[-1] = -np.cos(p[-2])
-            return nu
-        if self.variant == "ellipse":
-            a, b = self.params
-            g = np.array([2 * p[0] / a**2, 2 * p[1] / b**2])
-            return g / np.linalg.norm(g)
-        raise GeometryError(f"no boundary normal for {self.variant!r}")
 
     def boundary_curve(self, m: int) -> PlanarCurve:
         """Sampled boundary polyline for 2D bounded variants."""

@@ -228,19 +228,15 @@ def _beta_at(state: BackwardSolveState, snapshot: int) -> np.ndarray:
     return conjugate.interp_periodic(kappa, params)
 
 
-def _tangential_derivative(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Centered d/ds along a closed polygon of boundary vertices."""
-    ds = np.linalg.norm(np.roll(positions, -1, axis=0) - positions, axis=1)
-    return (np.roll(values, -1) - np.roll(values, 1)) / (ds + np.roll(ds, 1))
-
-
 def boundary_term_harnack(state: BackwardSolveState, snapshot: int):
     """2 tau int (db/dt - 2 b_s f_s + kappa f_s^2 - b/2tau) u dS.
 
     db/dt follows the normal motion of the boundary: the fixed-parameter time
     derivative of the curvature, corrected by the tangential slide of the
     parametrization (the snapshots keep uniform arc length, which is not the
-    normal-motion gauge the identity is stated in).
+    normal-motion gauge the identity is stated in).  The arc-length
+    derivatives b_s and f_s are the boundary curve's second-order
+    tangential gradients.
     """
     snaps = state.trajectory.snapshots
     i = snapshot
@@ -253,7 +249,6 @@ def boundary_term_harnack(state: BackwardSolveState, snapshot: int):
     mesh = state.meshes[i]
     nb = mesh.n_boundary
     bc = mesh.boundary_curve()
-    pos = mesh.vertices[:nb]
     tang = bc.unit_tangent()
     kappa_mesh = _beta_at(state, i)
 
@@ -261,15 +256,15 @@ def boundary_term_harnack(state: BackwardSolveState, snapshot: int):
     vel = np.zeros((nb, 2))
     for k, wk in zip(ks, wts):
         db_dt_param += wk * conjugate.interp_periodic(snaps[k].curve.curvature(), params)
-        vel += wk * conjugate.boundary_positions(snaps[k].curve.vertices, params)
+        vel += wk * conjugate.interp_periodic(snaps[k].curve.vertices, params)
     v_tan = np.einsum("ij,ij->i", vel, tang)
 
     beta = kappa_mesh
-    db_ds = _tangential_derivative(beta, pos)
+    db_ds = bc.tangential_gradient(beta)
     db_dt = db_dt_param - v_tan * db_ds
 
     f = conjugate.f_from_state(state, i)
-    df_ds = _tangential_derivative(f[:nb], pos)
+    df_ds = bc.tangential_gradient(f[:nb])
 
     tau = snaps[i].tau
     integrand = 2.0 * tau * (

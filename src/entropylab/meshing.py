@@ -47,10 +47,6 @@ class TriMesh:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def boundary_edges(self) -> np.ndarray:
-        i = np.arange(self.n_boundary)
-        return np.column_stack([i, (i + 1) % self.n_boundary])
-
     def boundary_curve(self) -> PlanarCurve:
         return PlanarCurve(self.vertices[: self.n_boundary], check_embedded=False)
 
@@ -193,13 +189,7 @@ def refine_boundary(curve: PlanarCurve, h: float):
     total = cum[-1]
 
     # sharp vertices (corners) must survive the resampling
-    t = v - np.roll(v, 1, axis=0)
-    tp = np.roll(v, -1, axis=0) - v
-    turn = np.abs(
-        np.arctan2(
-            t[:, 0] * tp[:, 1] - t[:, 1] * tp[:, 0], np.sum(t * tp, axis=1)
-        )
-    )
+    turn = np.abs(curve.turning_angles())
     corners = np.flatnonzero(turn > np.radians(25.0))
     anchors = corners if len(corners) else np.array([0])
 

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
 from .fem import FemOperators, recover_gradient
-from .functional import N_PLUS_1, FunctionalError, w_beta
+from .functional import N_PLUS_1, FunctionalError, _beta_full, w_beta
 
 PHI_FLOOR_REL = 1e-12
 
@@ -93,11 +93,8 @@ def minimize(
     if tau <= 0:
         raise FunctionalError("tau must be positive")
     n = ops.mesh.n_vertices
-    nb = ops.mesh.n_boundary
     w = ops.boundary_weights
-    bfull = np.zeros(n)
-    barr = np.asarray(beta, dtype=float)
-    bfull[:nb] = barr if barr.ndim else float(barr)
+    bfull = _beta_full(ops, beta)
 
     if phi0 is None:
         # a constant is an exact critical point for beta = 0 (a saddle for
@@ -198,12 +195,9 @@ def verify_euler_lagrange(result: MinimizerResult, ops: FemOperators, tau, beta)
     the weak form; (ii) the recovered normal derivative of f_min against the
     prescribed beta (one-sided recovery, O(h) accurate).
     """
-    n = ops.mesh.n_vertices
     nb = ops.mesh.n_boundary
     w = ops.boundary_weights
-    bfull = np.zeros(n)
-    barr = np.asarray(beta, dtype=float)
-    bfull[:nb] = barr if barr.ndim else float(barr)
+    bfull = _beta_full(ops, beta)
     phi = result.phi
 
     lam = result.mu_multiplier + 1.0 + (N_PLUS_1 / 2.0) * np.log(4.0 * np.pi * tau)

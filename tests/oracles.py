@@ -1,10 +1,11 @@
 """Reference implementations of the library's fast kernels.
 
 The meshing and geometry kernels are the straightforward O(N * m) forms of
-kernels the library computes with a spatial index; tests require the fast
-kernels to agree bit for bit.  The patch fits and the moving-mesh matrices
-are the earlier einsum/COO forms of the harnack and conjugate kernels; those
-sum in another order, so tests compare them to a tolerance.
+kernels the library computes with a spatial index or a sweep; tests require
+the fast kernels to give the same answers, bit for bit.  The patch fits and
+the moving-mesh matrices are the earlier einsum/COO forms of the harnack
+and conjugate kernels; those sum in another order, so tests compare them to
+a tolerance.
 """
 
 import numpy as np
@@ -48,6 +49,33 @@ def contains_points(curve, points):
         xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
     crossings = np.sum(cond & (x < xs), axis=1)
     return crossings % 2 == 1
+
+
+def segments_intersect(p1, p2, q1, q2) -> np.ndarray:
+    """Vectorized proper-intersection test for segment pairs."""
+
+    def orient(a, b, c):
+        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
+            b[..., 1] - a[..., 1]
+        ) * (c[..., 0] - a[..., 0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    return (d1 * d2 < 0) & (d3 * d4 < 0)
+
+
+def is_embedded(vertices) -> bool:
+    """No two non-adjacent edges of the closed polyline cross: all O(m^2) pairs."""
+    v = np.asarray(vertices, dtype=float)
+    m = len(v)
+    w = np.roll(v, -1, axis=0)
+    i, j = np.triu_indices(m, k=2)
+    # segments (m-1, 0) and (0, 1) are adjacent through the wrap-around
+    keep = ~((i == 0) & (j == m - 1))
+    i, j = i[keep], j[keep]
+    return not bool(segments_intersect(v[i], w[i], v[j], w[j]).any())
 
 
 def lost_boundary_edges(simplices, nb, n_vertices=None):

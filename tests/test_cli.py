@@ -20,7 +20,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("tau", 0.0), ("h", -1.0), ("dt_scale", 2.0), ("frac", 0.96),
-         ("snapshots", 1), ("budget", 10), ("vertices", 4), ("tol", 0.0)],
+         ("snapshots", 1), ("budget", 10), ("vertices", 4), ("tol", 0.0),
+         ("steps_per_tau", 0.0), ("skip", -3)],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(cli.ValidationError):
@@ -108,6 +109,19 @@ class TestPipelines:
     def test_validation_exit_code(self, capsys):
         assert cli.main(["entropy", "--tau", "-1"]) == cli.EXIT_VALIDATION
         assert cli.main(["entropy", "--domain", "nope:1"]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv", [
+        ["harnack", "--beta", "zero"],
+        ["collapse", "--h", "0.1"],
+        ["flow", "--tau", "0.3"],
+        ["entropy", "--seed", "1"],
+        ["logsobolev", "--beta", "zero"],
+        ["verify", "--domain", "disk:1"],
+    ], ids=lambda argv: argv[0])
+    def test_flags_a_pipeline_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
     def test_collapse_rerun_byte_identical(self, tmp_path, capsys):
         args = [
@@ -218,19 +232,16 @@ class TestPipelines:
 
 
 class TestPlotData:
-    def test_emit_columns_and_missing_note(self, tmp_path):
+    def test_emit_columns(self, tmp_path):
         class Report:
-            COLUMNS = ("a", "b", "c")
+            COLUMNS = ("a", "b")
 
             def column(self, name):
-                if name == "c":
-                    raise KeyError(name)
                 return np.array([1.0, 2.0])
 
         path = tmp_path / "out.dat"
         cli.emit_plot_data(Report(), str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "# a b"
-        assert lines[1] == "# omitted (not computed): c"
-        assert len(lines) == 4
-        assert lines[2].split() == ["1", "1"]
+        assert len(lines) == 3
+        assert lines[1].split() == ["1", "1"]

@@ -110,6 +110,18 @@ class TestBoundaryIntegral:
         # H = 1/2 per principal curvature pair: (dim-1)/R = 1, area 16 pi
         assert out == pytest.approx(16 * np.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("domain", [
+        PlanarCurve.ellipse(1.2, 0.8, 256),
+        AnalyticDomain.slab(1.0, dim=2),
+        AnalyticDomain.disk(1.0),
+    ], ids=["polygon", "slab", "disk"])
+    def test_unknown_beta_spec_rejected(self, domain):
+        for spec in ("radial", ("radial", 0.5), "file:beta.txt"):
+            with pytest.raises(collapse.CollapseError):
+                collapse.boundary_beta_integral(domain, (0.0, 0.0), 1.0, spec)
+            with pytest.raises(collapse.CollapseError):
+                collapse.ratio_scan(domain, [(0.0, 0.0)], [1.0], beta_spec=spec)
+
     def test_partial_sphere_not_implemented(self):
         ball = AnalyticDomain.ball(2.0, dim=3)
         with pytest.raises(collapse.CollapseError):

