@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import sys
 import tempfile
 import time
@@ -398,11 +399,21 @@ def _flow_stage(cfg: RunConfig, cache: _Cache):
     return cache.get_or_run("flow", key, run), key
 
 
+_TRUNCATION_CAUSES = {
+    "turning": "turning angle per length above 1/(3h), curvature no longer resolved",
+    "embedding": "the next step would make the curve self-intersect",
+}
+
+
 def _run_flow(cfg: RunConfig, out: str, warnings_: list):
     cache = _Cache(out)
     traj, _ = _flow_stage(cfg, cache)
     if traj.truncated:
-        warnings_.append("flow stopped early (curvature resolution or embedding)")
+        reason = traj.meta["truncation"]
+        warnings_.append(
+            f"flow stopped early by the {reason} guard after "
+            f"{traj.meta['steps']} steps ({_TRUNCATION_CAUSES[reason]})"
+        )
     cpath = os.path.join(out, "flow.csv")
     _write_csv(
         cpath,
@@ -414,6 +425,7 @@ def _run_flow(cfg: RunConfig, out: str, warnings_: list):
         jpath,
         json.dumps(
             {"a": traj.a, "T_est": traj.T_est, "truncated": traj.truncated,
+             "truncation": traj.meta["truncation"], "steps": traj.meta["steps"],
              "records": traj.to_records()},
             default=_fmt,
         )
@@ -720,21 +732,58 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fields", type=int, default=100)
 
     sp = command("verify", "acceptance batteries")
-    base(sp, "h", "seed")
+    base(sp)
     sp.add_argument("--suite", default="shrinker",
                     choices=("shrinker", "collapse"))
-    steps_per_tau(sp)
-    sp.add_argument("--budget", type=int, default=collapse.DEFAULT_BUDGET)
+    # None marks a flag that was not given, so that main can reject the
+    # flags of the suite that does not run; RunConfig fills in the default
+    sp.add_argument("--h", type=float, default=None)
+    sp.add_argument("--steps-per-tau", dest="steps_per_tau", type=float, default=None)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--budget", type=int, default=None)
     return p
 
 
+# the verify flags each suite reads
+_SUITE_FLAGS = {"shrinker": ("h", "steps_per_tau"), "collapse": ("seed", "budget")}
+
+
+def _parse_args(argv) -> dict:
+    parser = _build_parser()
+    args = vars(parser.parse_args(argv))
+    if args["subcommand"] == "verify":
+        for suite, names in _SUITE_FLAGS.items():
+            for name in names:
+                if suite != args["suite"] and args[name] is not None:
+                    flag = "--" + name.replace("_", "-")
+                    parser.error(f"verify: {flag} is read only by --suite {suite}")
+    return {k: v for k, v in args.items() if v is not None}
+
+
+def _outermost_missing(path: str):
+    """The outermost directory on path that does not exist yet, or None."""
+    missing = None
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing, path = path, os.path.dirname(path)
+    return missing
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_dict(vars(args))
+        cfg = RunConfig.from_dict(_parse_args(argv))
     except ValidationError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    created = _outermost_missing(os.path.join(cfg.out, cfg.tag))
+    code = _run_and_report(cfg)
+    if code == EXIT_VALIDATION and created is not None:
+        # a rejected run leaves no directory behind
+        shutil.rmtree(created, ignore_errors=True)
+    return code
+
+
+def _run_and_report(cfg: RunConfig) -> int:
     try:
         manifest = run(cfg)
     except AcceptanceFailure as e:

@@ -5,12 +5,17 @@ kernels the library computes with a spatial index or a sweep; tests require
 the fast kernels to give the same answers, bit for bit.  The patch fits and
 the moving-mesh matrices are the earlier einsum/COO forms of the harnack
 and conjugate kernels; those sum in another order, so tests compare them to
-a tolerance.
+a tolerance.  The flow step is the earlier ``np.roll`` form resampled
+through scipy's ``CubicSpline``, and the turning guard the standalone form
+the flow loop now folds into its own segment data.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
+
+from entropylab import flow
 
 
 def points_polyline_distance(points, loop, chunk=4096):
@@ -143,3 +148,48 @@ def ale_matrices(vertices, triangles, w):
         sp.coo_matrix((e.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         for e in (ke, me, ce)
     )
+
+
+def resample_uniform(vertices):
+    """Uniform arc-length resample through scipy's periodic ``CubicSpline``."""
+    m = len(vertices)
+    closed = np.vstack([vertices, vertices[:1]])
+    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cs = CubicSpline(cum, closed, bc_type="periodic")
+    return cs(np.arange(m) * cum[-1] / m)
+
+
+def _laplacian_weights(x, dt):
+    seg = np.linalg.norm(np.roll(x, -1, axis=0) - x, axis=1)
+    hm = np.roll(seg, 1)
+    w = 0.5 * (seg + hm)
+    return dt / (w * hm), dt / (w * seg)
+
+
+def _apply_lap(x, am, ap):
+    return (
+        am[:, None] * np.roll(x, 1, axis=0)
+        + ap[:, None] * np.roll(x, -1, axis=0)
+        - (am + ap)[:, None] * x
+    )
+
+
+def flow_step(x, dt):
+    """One midpoint step of x_t = Delta_s x, then the spline resample."""
+    am, ap = _laplacian_weights(x, 0.5 * dt)
+    x_mid = x + _apply_lap(x, am, ap)
+    am, ap = _laplacian_weights(x_mid, dt)
+    rhs = x + 0.5 * _apply_lap(x, am, ap)
+    new = flow._cyclic_tridiag_solve(-0.5 * am, 1.0 + 0.5 * (am + ap), -0.5 * ap, rhs)
+    return resample_uniform(new)
+
+
+def max_turning_per_length(x):
+    """Largest turning angle per unit dual length over the vertices."""
+    t = np.roll(x, -1, axis=0) - x
+    tp = np.roll(t, -1, axis=0)
+    ang = np.abs(np.arctan2(t[:, 0] * tp[:, 1] - t[:, 1] * tp[:, 0], np.sum(t * tp, axis=1)))
+    seg = np.linalg.norm(t, axis=1)
+    w = 0.5 * (seg + np.roll(seg, -1))
+    return float((ang / w).max())

@@ -106,9 +106,12 @@ class TestPipelines:
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "entropylab"}
         assert "entropy.csv" in manifest["outputs"]
 
-    def test_validation_exit_code(self, capsys):
+    def test_validation_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert cli.main(["entropy", "--tau", "-1"]) == cli.EXIT_VALIDATION
         assert cli.main(["entropy", "--domain", "nope:1"]) == cli.EXIT_VALIDATION
+        # the rejected run removes the run directory it created
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("argv", [
         ["harnack", "--beta", "zero"],
@@ -117,6 +120,9 @@ class TestPipelines:
         ["entropy", "--seed", "1"],
         ["logsobolev", "--beta", "zero"],
         ["verify", "--domain", "disk:1"],
+        pytest.param(["verify", "--suite", "collapse", "--h", "0.04"],
+                     id="verify_collapse_h"),
+        pytest.param(["verify", "--budget", "5000"], id="verify_shrinker_budget"),
     ], ids=lambda argv: argv[0])
     def test_flags_a_pipeline_does_not_read_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -192,6 +198,32 @@ class TestPipelines:
         assert first["t"] == 0.0 and len(first["vertices"]) == 2048
         kappa = PlanarCurve(first["vertices"], check_embedded=False).curvature()
         assert np.abs(kappa - 1.0).max() < 1e-3
+
+    def test_flow_reports_steps_and_truncation(self, tmp_path, capsys):
+        # the flow stage of the moving_ellipse benchmark workload
+        rc = cli.main([
+            "flow", "--domain", "ellipse:1.2:0.8", "--frac", "0.4",
+            "--snapshots", "21", "--vertices", "384", "--h", "0.04",
+            "--out", str(tmp_path), "--tag", "me",
+        ])
+        assert rc == cli.EXIT_OK
+        traj = json.loads((tmp_path / "me" / "trajectory.json").read_text())
+        assert traj["steps"] == 582
+        assert traj["truncation"] is None and traj["truncated"] is False
+
+    def test_truncated_flow_names_its_guard(self, tmp_path, capsys):
+        path = tmp_path / "square.json"
+        square = PlanarCurve.rectangle(0.0, 0.0, 1.0, 1.0, 64).vertices
+        path.write_text(json.dumps({"type": "polyline", "vertices": square.tolist()}))
+        rc = cli.main([
+            "flow", "--domain", f"file:{path}", "--vertices", "64",
+            "--snapshots", "3", "--out", str(tmp_path), "--tag", "sq",
+        ])
+        assert rc == cli.EXIT_OK
+        traj = json.loads((tmp_path / "sq" / "trajectory.json").read_text())
+        assert traj["truncation"] == "turning" and traj["truncated"] is True
+        manifest = json.loads((tmp_path / "sq" / "manifest.json").read_text())
+        assert any("turning guard" in w for w in manifest["warnings"])
 
     def test_collapse_on_a_ball_in_3d(self, tmp_path, capsys):
         rc = cli.main([

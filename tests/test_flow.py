@@ -46,6 +46,20 @@ class TestAreaLaw:
         for s in traj.snapshots:
             assert s.area == pytest.approx(A0 - 2.0 * np.pi * s.t, abs=1e-4)
 
+    def test_area_law_on_jittered_ellipse(self):
+        # Pins the step constant on input that is not smooth at the vertex
+        # scale.  The half-step predictor is explicit, so its highest modes
+        # grow once dt exceeds ~h^2: at DT_FACTOR 1.6 the error is 4.6e-5
+        # (0.4: 3.4e-5), at 3.2 it is 2.5e-4.  A jitter of 2e-3 trips the
+        # turning guard before the first step.
+        x = PlanarCurve.ellipse(1.2, 0.8, 512).vertices
+        x = x + np.random.default_rng(0).normal(0.0, 5e-4, x.shape)
+        traj = flow.run_flow(PlanarCurve(x), 0.4, 11)
+        assert not traj.truncated
+        A0 = traj.snapshots[0].area
+        err = max(abs(s.area - (A0 - 2.0 * np.pi * s.t)) for s in traj.snapshots)
+        assert err <= 1e-4
+
     def test_length_decreases(self):
         traj = flow.run_flow(PlanarCurve.ellipse(1.2, 0.8, 512), 0.5, 11)
         lengths = [s.length for s in traj.snapshots]
@@ -75,6 +89,7 @@ class TestStepAndValidation:
         c = PlanarCurve.rectangle(0.0, 0.0, 1.0, 1.0, 64)
         traj = flow.run_flow(c, 0.5, 5)
         assert traj.truncated
+        assert traj.meta["truncation"] == "turning"
 
 
 class TestTrajectory:

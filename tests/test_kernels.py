@@ -7,7 +7,10 @@ meshes built on them.  The embeddedness sweep skips segment pairs the same
 way but tests crossings without division; it must give the pair oracle's
 answer.  The batched patch fits and the fixed-pattern ALE
 matrices sum in another order than their einsum/COO oracles, so they are
-held to rounding-level tolerances.
+held to rounding-level tolerances, and so is the flow step, whose spline
+resample solves for moments where scipy's ``CubicSpline`` solves for
+slopes.  The flow's folded turning guard is the oracle's arithmetic on the
+same edge data, bit for bit.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entropylab import conjugate, fem, geometry, harnack, meshing
+from entropylab import conjugate, fem, flow, geometry, harnack, meshing
 from entropylab.geometry import GeometryError, PlanarCurve
 from entropylab.meshing import triangulate
 
@@ -256,3 +259,37 @@ class TestNumericKernelsAgainstOracles:
         flipped = small_mesh.vertices * np.array([-1.0, 1.0])
         with pytest.raises(conjugate.ConjugateError, match="inverted"):
             asm.step(flipped, np.zeros_like(flipped), 0.01, 0.5)
+
+
+def _smooth_star(rng, m):
+    """Star-shaped CCW polygon, smooth in angle, with non-uniform spacing.
+
+    Smooth because the flow only steps polygons that pass its turning guard;
+    on an unresolved zigzag both forms amplify their roundoff alike.
+    """
+    gaps = rng.uniform(0.2, 1.0, m)
+    th = 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    wave = rng.uniform(0.0, 0.3) * np.cos(rng.integers(2, 6) * th + rng.uniform(0, 2 * np.pi))
+    r = rng.uniform(0.5, 2.0) * (1.0 + wave)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)]) + rng.uniform(-3, 3, 2)
+
+
+class TestFlowAgainstOracles:
+    # at m >= 128 the 50 steps stay within about a third of the lifespan
+    # A0 / (2 pi); a coarser polygon runs into the singularity
+    @given(m=st.integers(128, 256), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_resample_step_and_guard(self, m, seed):
+        x = _smooth_star(np.random.default_rng(seed), m)
+        nxt, prv = np.roll(np.arange(m), -1), np.roll(np.arange(m), 1)
+        ref = oracles.resample_uniform(x)
+        got = flow._resample_uniform(x, nxt, prv)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        y = z = x
+        for _ in range(50):
+            e, seg = flow._edges(y, nxt)
+            assert flow._max_turning(e, seg, nxt) == oracles.max_turning_per_length(y)
+            dt = flow.DT_FACTOR * seg.min() ** 2
+            y = flow._step(y, seg, dt, nxt, prv)
+            z = oracles.flow_step(z, dt)
+        assert np.abs(y - z).max() <= 1e-11
