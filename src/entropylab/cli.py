@@ -405,15 +405,20 @@ _TRUNCATION_CAUSES = {
 }
 
 
-def _run_flow(cfg: RunConfig, out: str, warnings_: list):
-    cache = _Cache(out)
-    traj, _ = _flow_stage(cfg, cache)
+def _warn_if_truncated(traj, warnings_: list):
+    """Name the guard that stopped the flow early, for every stage built on it."""
     if traj.truncated:
         reason = traj.meta["truncation"]
         warnings_.append(
             f"flow stopped early by the {reason} guard after "
             f"{traj.meta['steps']} steps ({_TRUNCATION_CAUSES[reason]})"
         )
+
+
+def _run_flow(cfg: RunConfig, out: str, warnings_: list):
+    cache = _Cache(out)
+    traj, _ = _flow_stage(cfg, cache)
+    _warn_if_truncated(traj, warnings_)
     cpath = os.path.join(out, "flow.csv")
     _write_csv(
         cpath,
@@ -450,6 +455,7 @@ def _conjugate_stage(cfg: RunConfig, cache: _Cache):
 def _run_conjugate(cfg: RunConfig, out: str, warnings_: list):
     cache = _Cache(out)
     state = _conjugate_stage(cfg, cache)
+    _warn_if_truncated(state.trajectory, warnings_)
     warnings_.extend(state.warnings)
     cpath = os.path.join(out, "conservation.csv")
     _write_csv(cpath, ("t", "mass"), state.conservation_log)
@@ -461,6 +467,7 @@ def _run_conjugate(cfg: RunConfig, out: str, warnings_: list):
                 "t0_index": state.t0_index,
                 "max_mass_drift": state.max_mass_drift(),
                 "mu_at_t0": state.end_result.mu if state.end_result else None,
+                "linear_solve": state.linear_solve,
                 "warnings": state.warnings,
             },
             indent=2,
@@ -474,6 +481,7 @@ def _run_conjugate(cfg: RunConfig, out: str, warnings_: list):
 def _run_harnack(cfg: RunConfig, out: str, warnings_: list):
     cache = _Cache(out)
     state = _conjugate_stage(cfg, cache)
+    _warn_if_truncated(state.trajectory, warnings_)
     warnings_.extend(state.warnings)
     report = harnack.rate_identity_check(state, skip=cfg.skip)
     warnings_.extend(report.meta.get("warnings", []))

@@ -24,8 +24,8 @@ class FemOperators:
     """
 
     mesh: TriMesh
-    K: sp.csr_matrix
-    M: sp.csr_matrix
+    K: sp.csr_matrix | sp.csc_matrix  # CSR from assemble, CSC from P1Pattern
+    M: sp.csr_matrix | sp.csc_matrix
     M_lumped: np.ndarray
     boundary_weights: np.ndarray
     grads: np.ndarray  # (n_tri, 3, 2) P1 basis gradients per triangle
@@ -68,7 +68,11 @@ def _p1_elements(vertices, triangles):
     grads[:, 2, 0] = a[:, 1] - b[:, 1]
     grads[:, 2, 1] = b[:, 0] - a[:, 0]
     grads /= det[:, None, None]
-    ke = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
+    # the einsum "tid,tjd->tij" bit for bit, without its per-element overhead
+    gx, gy = grads[:, :, None, 0], grads[:, :, None, 1]
+    ke = gx * gx.transpose(0, 2, 1)
+    ke += gy * gy.transpose(0, 2, 1)
+    ke *= areas[:, None, None]
     me = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * areas[:, None, None]
     return areas, grads, ke, me
 
@@ -85,15 +89,59 @@ def assemble(mesh: TriMesh) -> FemOperators:
     K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M_lumped = np.asarray(M.sum(axis=1)).ravel()
+    return FemOperators(mesh, K, M, M_lumped, _boundary_weights(mesh), grads, areas)
 
+
+def _boundary_weights(mesh: TriMesh) -> np.ndarray:
+    """Half the lengths of the two boundary edges at each boundary vertex."""
+    v = mesh.vertices
     nb = mesh.n_boundary
     bl = np.linalg.norm(
         v[(np.arange(nb) + 1) % nb] - v[np.arange(nb)], axis=1
     )
-    bw = np.zeros(n)
+    bw = np.zeros(mesh.n_vertices)
     bw[:nb] = 0.5 * (bl + np.roll(bl, 1))
+    return bw
 
-    return FemOperators(mesh, K, M, M_lumped, bw, grads, areas)
+
+class P1Pattern:
+    """CSC sparsity pattern of the P1 matrices on one fixed connectivity.
+
+    ``scatter`` maps each element entry (the 3x3 blocks of ``_p1_elements``,
+    row-major) to its slot in the pattern's data array, so a matrix on moved
+    vertices is one ``bincount`` and no COO -> CSR conversion.
+    """
+
+    def __init__(self, triangles: np.ndarray, n: int):
+        self.triangles = triangles
+        self.n = n
+        # int64: Qhull's int32 indices would overflow col * n + row past 46,340
+        tri = triangles.astype(np.int64)
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        keys, self.scatter = np.unique(cols * n + rows, return_inverse=True)
+        # SuperLU takes C int indices; rows sort within each column
+        self.indices = (keys % n).astype(np.intc)
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.intc)
+
+    def assemble(self, element_values) -> np.ndarray:
+        """Pattern data of the matrix with these (n_tri, 3, 3) entries."""
+        return np.bincount(self.scatter, element_values.ravel(), len(self.indices))
+
+    def matrix(self, data) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def row_sums(self, data) -> np.ndarray:
+        return np.bincount(self.indices, data, self.n)
+
+    def operators(self, mesh: TriMesh) -> FemOperators:
+        """What ``assemble`` gives for a mesh with this connectivity, in CSC."""
+        areas, grads, ke, me = _p1_elements(mesh.vertices, self.triangles)
+        m = self.assemble(me)
+        return FemOperators(
+            mesh, self.matrix(self.assemble(ke)), self.matrix(m), self.row_sums(m),
+            _boundary_weights(mesh), grads, areas,
+        )
 
 
 def triangle_gradients(ops: FemOperators, f) -> np.ndarray:

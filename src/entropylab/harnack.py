@@ -82,25 +82,29 @@ class HarnackReport:
         return out
 
 
-def _poly_fit(mesh, values, centers, degree, keep=None, k=PATCH_K):
+def _poly_fit(mesh, values, centers, degree, keep=None, k=PATCH_K, neighbors=None):
     """Least-squares polynomial models of a nodal field around each center.
 
     Each center is fitted on its k nearest mesh vertices (nearest among
-    ``keep`` if given).  Returns (c, R): c[b] holds the coefficients in the
-    monomial order 1, x, y, x2, xy, y2, x3, x2y, xy2, y3 (up to ``degree``)
-    with coordinates scaled by the patch radius R[b] (distance to the k-th
-    neighbor), so derivatives of the model at the center are read off the
-    low-order coefficients.
+    ``keep`` if given), or on ``neighbors``, the (distances, vertex indices)
+    of a k-nearest query made by the caller.  Returns (c, R): c[b] holds the
+    coefficients in the monomial order 1, x, y, x2, xy, y2, x3, x2y, xy2, y3
+    (up to ``degree``) with coordinates scaled by the patch radius R[b]
+    (distance to the k-th neighbor), so derivatives of the model at the
+    center are read off the low-order coefficients.
     """
     v = mesh.vertices
     points = v if keep is None else v[keep]
-    k = min(k, len(points))
+    k = min(k, len(points)) if neighbors is None else neighbors[1].shape[1]
     ncoef = (degree + 1) * (degree + 2) // 2
     if k < 3 * ncoef // 2:  # 15 points for a cubic, 9 for a quadratic
         raise HarnackError(f"mesh too small for degree-{degree} patches ({k} points)")
-    d, idx = cKDTree(points).query(centers, k=k)
-    if keep is not None:
-        idx = keep[idx]
+    if neighbors is None:
+        d, idx = cKDTree(points).query(centers, k=k)
+        if keep is not None:
+            idx = keep[idx]
+    else:
+        d, idx = neighbors
     R = d[:, -1]
     x = (v[idx, 0] - centers[:, None, 0]) / R[:, None]
     y = (v[idx, 1] - centers[:, None, 1]) / R[:, None]
@@ -155,6 +159,25 @@ def volume_term(ops: fem.FemOperators, f, u, tau: float) -> float:
     return 2.0 * tau * float(ops.M_lumped @ (u * dens))
 
 
+def _nearest_prefix(points, centers, neighbors, k):
+    """The k nearest ``points`` to ``centers``, cut from a query with more columns.
+
+    ``neighbors`` is (distances, indices) of a query of the same points and
+    centers at a larger k.  Its first k columns are the k nearest unless the
+    k-th and (k+1)-th distances tie, when a fresh query might keep the other
+    point at the cut; those rows are queried again.
+    """
+    d, idx = neighbors
+    if d.shape[1] <= k:
+        return d, idx
+    tie = np.flatnonzero(d[:, k - 1] == d[:, k])
+    d, idx = d[:, :k], idx[:, :k]
+    if len(tie):
+        d, idx = d.copy(), idx.copy()
+        d[tie], idx[tie] = cKDTree(points).query(centers[tie], k=k)
+    return d, idx
+
+
 def _ddt_stencil(times, i: int, last: int):
     """Indices and weights of a second-order d/dt stencil at times[i].
 
@@ -196,16 +219,29 @@ def _nodal_w_field(state: BackwardSolveState, snapshot: int):
         dfdt += wk * conjugate.f_from_state(state, k)
         v += wk * state.meshes[k].vertices
     f = conjugate.f_from_state(state, snapshot)
-    c, R = _poly_fit(mesh, f, mesh.vertices, 3)
+    neighbors = cKDTree(mesh.vertices).query(
+        mesh.vertices, k=min(PATCH_K, mesh.n_vertices)
+    )
+    c, R = _poly_fit(mesh, f, mesh.vertices, 3, neighbors=neighbors)
     gf = c[:, 1:3] / R[:, None]
     dtf = dfdt - np.einsum("ij,ij->i", v, gf)  # fixed-point time derivative
     tau = snaps[snapshot].tau
-    return -2.0 * tau * dtf + tau * np.einsum("ij,ij->i", gf, gf) + f, one_sided
+    W = -2.0 * tau * dtf + tau * np.einsum("ij,ij->i", gf, gf) + f
+    return W, one_sided, neighbors
 
 
-def _boundary_normal_gradient(mesh, W: np.ndarray) -> np.ndarray:
-    """<grad W, nu> at boundary vertices from one-sided quadratic patches."""
-    c, R = _poly_fit(mesh, W, mesh.vertices[: mesh.n_boundary], 2, k=QUAD_K)
+def _boundary_normal_gradient(mesh, W: np.ndarray, neighbors=None) -> np.ndarray:
+    """<grad W, nu> at boundary vertices from one-sided quadratic patches.
+
+    ``neighbors`` may pass in a wider nearest-vertex query of every vertex
+    (boundary vertices first); its QUAD_K prefix then replaces the query.
+    """
+    centers = mesh.vertices[: mesh.n_boundary]
+    if neighbors is not None:
+        nb = mesh.n_boundary
+        d, idx = neighbors
+        neighbors = _nearest_prefix(mesh.vertices, centers, (d[:nb], idx[:nb]), QUAD_K)
+    c, R = _poly_fit(mesh, W, centers, 2, k=QUAD_K, neighbors=neighbors)
     gW = c[:, 1:3] / R[:, None]
     nu = mesh.boundary_curve().outward_normal()
     return np.einsum("ij,ij->i", gW, nu)
@@ -214,8 +250,8 @@ def _boundary_normal_gradient(mesh, W: np.ndarray) -> np.ndarray:
 def boundary_term_direct(state: BackwardSolveState, snapshot: int) -> float:
     """-int <grad W, nu> u dS from patch fits of the nodal W field."""
     ops = state.ops_at(snapshot)
-    W, _ = _nodal_w_field(state, snapshot)
-    dWdnu = _boundary_normal_gradient(ops.mesh, W)
+    W, _, neighbors = _nodal_w_field(state, snapshot)
+    dWdnu = _boundary_normal_gradient(ops.mesh, W, neighbors)
     u = state.u_fields[snapshot]
     nb = ops.mesh.n_boundary
     return -float(ops.boundary_weights[:nb] @ (u[:nb] * dWdnu))

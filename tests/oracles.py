@@ -5,13 +5,16 @@ kernels the library computes with a spatial index or a sweep; tests require
 the fast kernels to give the same answers, bit for bit.  The patch fits and
 the moving-mesh matrices are the earlier einsum/COO forms of the harnack
 and conjugate kernels; those sum in another order, so tests compare them to
-a tolerance.  The flow step is the earlier ``np.roll`` form resampled
-through scipy's ``CubicSpline``, and the turning guard the standalone form
-the flow loop now folds into its own segment data.
+a tolerance.  The moving-mesh substep's solve is the earlier ``spsolve``
+from scratch, against which the reused-factor solve is held.  The flow step
+is the earlier ``np.roll`` form resampled through scipy's ``CubicSpline``,
+and the turning guard the standalone form the flow loop now folds into its
+own segment data.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spl
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
@@ -148,6 +151,19 @@ def ale_matrices(vertices, triangles, w):
         sp.coo_matrix((e.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         for e in (ke, me, ce)
     )
+
+
+class DirectSolve:
+    """The moving-mesh substep's solve without factor reuse: ``spsolve`` each time.
+
+    It has the interface of ``conjugate._ReusedLU``, so it can stand in for it.
+    """
+
+    def __init__(self):
+        self.stats = {}
+
+    def solve(self, A, b):
+        return spl.spsolve(A, b)
 
 
 def resample_uniform(vertices):

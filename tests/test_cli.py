@@ -225,6 +225,40 @@ class TestPipelines:
         manifest = json.loads((tmp_path / "sq" / "manifest.json").read_text())
         assert any("turning guard" in w for w in manifest["warnings"])
 
+    def test_truncated_flow_is_reported_downstream(self, tmp_path, capsys, monkeypatch):
+        real = cli.flow.run_flow
+
+        def truncated(*args):
+            traj = real(*args)
+            traj.truncated = True
+            traj.meta["truncation"] = "embedding"
+            return traj
+
+        monkeypatch.setattr(cli.flow, "run_flow", truncated)
+        common = ["--domain", "disk:1", "--vertices", "128", "--frac", "0.3",
+                  "--snapshots", "6", "--h", "0.1", "--steps-per-tau", "50",
+                  "--out", str(tmp_path), "--tag", "tr"]
+        for argv in (["conjugate"] + common, ["harnack", "--skip", "0"] + common):
+            assert cli.main(argv) == cli.EXIT_OK
+            manifest = json.loads((tmp_path / "tr" / "manifest.json").read_text())
+            assert any("embedding guard" in w for w in manifest["warnings"]), argv[0]
+
+    def test_conjugate_records_its_linear_solves(self, tmp_path, capsys):
+        rc = cli.main([
+            "conjugate", "--domain", "disk:1", "--vertices", "128", "--frac", "0.3",
+            "--snapshots", "6", "--h", "0.1", "--steps-per-tau", "50",
+            "--out", str(tmp_path), "--tag", "ls",
+        ])
+        assert rc == cli.EXIT_OK
+        out = json.loads((tmp_path / "ls" / "conjugate.json").read_text())
+        solve = out["linear_solve"]
+        assert set(solve) == {"substeps", "factorizations", "corrections",
+                              "worst_rel_residual"}
+        assert 1 <= solve["factorizations"] <= solve["substeps"]
+        assert solve["worst_rel_residual"] <= 1e-15
+        rows = (tmp_path / "ls" / "conservation.csv").read_text().splitlines()
+        assert solve["substeps"] == len(rows) - 2  # header and the t0 row
+
     def test_collapse_on_a_ball_in_3d(self, tmp_path, capsys):
         rc = cli.main([
             "collapse", "--domain", "analytic:ball:1", "--radii", "list:0.5,2",

@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
+import oracles
 from entropylab import conjugate, fem, flow, functional as fn
 from entropylab.geometry import PlanarCurve
 from entropylab.meshing import triangulate
@@ -75,6 +78,83 @@ class TestBackwardSolve:
             nb = st.meshes[i].n_boundary
             r = np.linalg.norm(st.meshes[i].vertices[:nb], axis=1)
             assert np.abs(r - R).max() < 1e-3
+
+
+class TestReusedFactor:
+    def test_matches_direct_solve_over_real_substeps(self, shrinker_state, monkeypatch):
+        # rerun the fixture's chain, solving every substep both ways
+        st = shrinker_state
+        steps = []
+
+        class Both(conjugate._ReusedLU):
+            def solve(self, A, b):
+                x = super().solve(A, b)
+                ref = oracles.DirectSolve().solve(A, b)
+                steps.append(np.abs(x - ref).max() / np.abs(ref).max())
+                return x
+
+        monkeypatch.setattr(conjugate, "_ReusedLU", Both)
+        mesh0, u0 = st.meshes[st.t0_index], st.u_fields[st.t0_index]
+        again = conjugate.backward_solve(st.trajectory, mesh0, u0, steps_per_tau=100)
+        stats = again.linear_solve
+        assert stats == st.linear_solve
+        assert stats["substeps"] == len(steps) == len(st.conservation_log) - 1
+        # the factor is reused: most substeps are solved by defect correction
+        assert 1 <= stats["factorizations"] <= stats["substeps"] // 4
+        assert stats["corrections"] > 0
+        assert stats["worst_rel_residual"] <= conjugate.DEFECT_RTOL
+        assert max(steps) <= 1e-13
+        # and the whole chain stays on the direct solve's chain
+        monkeypatch.setattr(conjugate, "_ReusedLU", oracles.DirectSolve)
+        direct = conjugate.backward_solve(st.trajectory, mesh0, u0, steps_per_tau=100)
+        for u, ref in zip(st.u_fields, direct.u_fields):
+            assert np.abs(u - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_stalled_correction_refactors_to_the_direct_solve(self):
+        mesh = triangulate(PlanarCurve.circle(1.0, 64), 0.15)
+        asm = conjugate._AleAssembler(mesh)
+        solver = conjugate._ReusedLU()
+        still = np.zeros_like(mesh.vertices)
+        b = np.random.default_rng(0).uniform(0.5, 1.5, mesh.n_vertices)
+        A, _, _ = asm.step(mesh.vertices, still, 1e-4, 0.5)
+        solver.solve(A, b)
+        # a nearby system: the stale factor converges by defect correction
+        A, _, _ = asm.step(mesh.vertices, still, 1.1e-4, 0.5)
+        x = solver.solve(A, b)
+        assert solver.stats["factorizations"] == 1
+        assert solver.stats["corrections"] > 0
+        assert np.linalg.norm(b - A @ x) <= conjugate.DEFECT_RTOL * np.linalg.norm(b)
+        # a large-ds jump: the old factor makes defect correction diverge, so
+        # after MAX_CORRECTIONS the solve refactors and returns the direct solution
+        A, _, _ = asm.step(mesh.vertices, still, 10.0, 0.5)
+        before = solver.stats["corrections"]
+        x = solver.solve(A, b)
+        assert solver.stats["factorizations"] == 2
+        assert solver.stats["corrections"] - before == conjugate.MAX_CORRECTIONS
+        assert np.array_equal(x, oracles.DirectSolve().solve(A, b))
+        assert solver.stats["substeps"] == 3
+
+
+class TestSnapshotOperators:
+    def test_ops_at_matches_assemble(self, shrinker_state):
+        st = shrinker_state
+        for i in (0, st.t0_index // 2, st.t0_index):
+            got, ref = st.ops_at(i), fem.assemble(st.meshes[i])
+            assert got.mesh is st.meshes[i]
+            for name in ("K", "M"):
+                g, r = getattr(got, name), getattr(ref, name)
+                assert g.format == "csc"
+                assert abs(g - r).max() <= 1e-13 * abs(r).max()
+            for name in ("M_lumped", "boundary_weights", "grads", "areas"):
+                g, r = getattr(got, name), getattr(ref, name)
+                assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    def test_operators_are_not_pickled(self, shrinker_state):
+        shrinker_state.ops_at(0)
+        clone = pickle.loads(pickle.dumps(shrinker_state))
+        assert not hasattr(clone, "_ops_cache") and not hasattr(clone, "_pattern")
+        assert np.array_equal(clone.ops_at(0).M_lumped, shrinker_state.ops_at(0).M_lumped)
+        assert clone.linear_solve == shrinker_state.linear_solve
 
 
 class TestValidation:

@@ -9,14 +9,16 @@ answer.  The batched patch fits and the fixed-pattern ALE
 matrices sum in another order than their einsum/COO oracles, so they are
 held to rounding-level tolerances, and so is the flow step, whose spline
 resample solves for moments where scipy's ``CubicSpline`` solves for
-slopes.  The flow's folded turning guard is the oracle's arithmetic on the
-same edge data, bit for bit.
+slopes.  The boundary patches' neighbours, cut from a wider query, must be
+a fresh query's neighbours.  The flow's folded turning guard is the
+oracle's arithmetic on the same edge data, bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
 from entropylab import conjugate, fem, flow, geometry, harnack, meshing
@@ -253,6 +255,40 @@ class TestNumericKernelsAgainstOracles:
             assert abs(got - ref).max() <= 1e-13 * abs(ref).max()
         m_ref = np.asarray(M_n.sum(axis=1)).ravel()
         assert np.abs(mass - m_ref).max() <= 1e-13 * m_ref.max()
+
+    @given(**meshes)
+    @settings(max_examples=20, deadline=None)
+    def test_boundary_patches_reuse_the_wide_query(self, seed):
+        # the boundary quadratics take the first QUAD_K columns of the
+        # PATCH_K query every vertex already made for the cubic fits
+        mesh, _ = _random_mesh(seed)
+        v, nb = mesh.vertices, mesh.n_boundary
+        d, idx = cKDTree(v).query(v, k=harnack.PATCH_K)
+        got = harnack._nearest_prefix(v, v[:nb], (d[:nb], idx[:nb]), harnack.QUAD_K)
+        ref = cKDTree(v).query(v[:nb], k=harnack.QUAD_K)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(np.sort(got[1], axis=1), np.sort(ref[1], axis=1))
+        W = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1])
+        fresh = harnack._boundary_normal_gradient(mesh, W)
+        reused = harnack._boundary_normal_gradient(mesh, W, (d, idx))
+        assert np.abs(reused - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+    def test_neighbor_prefix_requeries_ties_at_the_cut(self):
+        # on the integer lattice an interior point's 36th and 37th nearest
+        # points are both at distance sqrt(10), so a cut prefix of the
+        # 45-point query can keep another point than a fresh 36-point query
+        g = np.arange(15.0)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        wide = cKDTree(pts).query(pts, k=45)
+        tie = wide[0][:, 35] == wide[0][:, 36]
+        naive = np.sort(wide[1][:, :36], axis=1)
+        d, idx = harnack._nearest_prefix(pts, pts, wide, 36)
+        d_ref, idx_ref = cKDTree(pts).query(pts, k=36)
+        assert tie.any()
+        assert np.any(naive != np.sort(idx_ref, axis=1))  # the cut matters here
+        assert np.array_equal(d[tie], d_ref[tie]) and np.array_equal(idx[tie], idx_ref[tie])
+        assert np.array_equal(d, d_ref)
+        assert np.array_equal(np.sort(idx, axis=1), np.sort(idx_ref, axis=1))
 
     def test_ale_rejects_inverted_mesh(self, small_mesh):
         asm = conjugate._AleAssembler(small_mesh)
