@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import shutil
 import sys
 import tempfile
@@ -105,15 +106,9 @@ class RunConfig:
     out: str = "runs"
     tag: str = "run"
 
-    VALID_SUBCOMMANDS = (
-        "entropy", "flow", "conjugate", "harnack", "collapse",
-        "logsobolev", "verify",
-    )
-
     @staticmethod
     def from_dict(obj: dict) -> "RunConfig":
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         cfg = RunConfig(**obj)
@@ -121,7 +116,7 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        if self.subcommand not in self.VALID_SUBCOMMANDS:
+        if self.subcommand not in _PIPELINES:
             raise ValidationError(f"unknown subcommand {self.subcommand!r}")
         if not self.tau > 0:
             raise ValidationError("tau must be positive")
@@ -158,8 +153,9 @@ def parse_domain(spec: str, m: int = _CURVE_M):
     and ellipse: sampled at m vertices on the exact curve, 512 by default);
     analytic:* returns an AnalyticDomain for the collapse scans.
     """
-    parts = str(spec).split(":")
-    kind, args = parts[0], parts[1:]
+    kind, *args = str(spec).split(":")
+    if kind in _DOMAIN_FORMS:
+        args = _spec_args(spec, kind, _DOMAIN_FORMS[kind], args)
     if kind == "disk":
         return geometry.PlanarCurve.circle(float(args[0]), m)
     if kind == "ellipse":
@@ -167,30 +163,46 @@ def parse_domain(spec: str, m: int = _CURVE_M):
     if kind == "file":
         return geometry.load_domain(args[0])
     if kind == "analytic":
-        variant = args[0]
-        params = [float(p) for p in args[1:]]
+        variant, *params = args or [""]
         if variant not in _ANALYTIC_VARIANTS:
             raise ValidationError(f"unknown analytic variant {variant!r}")
-        ctor = getattr(geometry.AnalyticDomain, variant)
-        return ctor(*params) if params else ctor()
+        params = _spec_args(
+            spec, f"analytic:{variant}", _ANALYTIC_VARIANTS[variant], params
+        )
+        return getattr(geometry.AnalyticDomain, variant)(*map(float, params))
     raise ValidationError(f"unknown domain spec {spec!r}")
 
 
-_ANALYTIC_VARIANTS = (
-    "disk", "half_plane", "slab", "grim_reaper_2d", "grim_reaper_product",
-    "catenoid_3d", "ball", "ellipse",
-)
+# the parameters each spec takes after its kind; bracketed ones are optional
+_DOMAIN_FORMS = {"disk": "R", "ellipse": "a:b", "file": "path"}
+_ANALYTIC_VARIANTS = {
+    "disk": "R", "half_plane": "a", "slab": "d[:dim]", "grim_reaper_2d": "",
+    "grim_reaper_product": "[n]", "catenoid_3d": "", "ball": "R[:dim]",
+    "ellipse": "a:b",
+}
+
+
+def _spec_args(spec: str, kind: str, params: str, args: list) -> list:
+    """args, if their count fits ``params``; else a ValidationError naming
+    the expected form."""
+    n = len(re.findall(r"\w+", params))
+    if not n - params.count("[") <= len(args) <= n:
+        form = f"{kind}:{params}" if params else kind
+        raise ValidationError(f"spec {spec!r} is not of the form {form}")
+    return args
 
 
 def parse_radii(spec: str):
     kind, _, rest = str(spec).partition(":")
     vals = [float(v) for v in rest.split(",")] if rest else []
     if kind == "geometric":
-        lo, hi = vals
+        lo, hi = _spec_args(spec, kind, "lo,hi", vals)
+        if not 0.0 < lo <= hi:
+            raise ValidationError(f"spec {spec!r} needs 0 < lo <= hi")
         n = int(round(np.log2(hi / lo))) + 1
         return [lo * 2.0**k for k in range(n)]
     if kind == "linear":
-        lo, hi, n = vals
+        lo, hi, n = _spec_args(spec, kind, "lo,hi,n", vals)
         return list(np.linspace(lo, hi, int(n)))
     if kind == "list":
         return vals
@@ -245,11 +257,17 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_json(path: str, obj, indent=2) -> str:
+    _atomic_write(path, json.dumps(obj, indent=indent, default=_fmt) + "\n")
+    return path
+
+
+def _write_table(path: str, header, rows, sep=",", comment="") -> str:
+    """A header line, then one line of _fmt values per row."""
+    lines = [comment + sep.join(header)]
+    lines += [sep.join(_fmt(v) for v in row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
+    return path
 
 
 def _hash_obj(obj) -> str:
@@ -267,7 +285,7 @@ class RunManifest:
     warnings: list = field(default_factory=list)
 
     def write(self, path: str):
-        _atomic_write(path, json.dumps(asdict(self), indent=2, default=_fmt) + "\n")
+        _write_json(path, asdict(self))
 
 
 def emit_plot_data(report, path: str):
@@ -276,10 +294,7 @@ def emit_plot_data(report, path: str):
     Works for any report exposing COLUMNS and column(name).
     """
     cols = [report.column(name) for name in report.COLUMNS]
-    lines = ["# " + " ".join(report.COLUMNS)]
-    for i in range(len(cols[0])):
-        lines.append(" ".join(_fmt(arr[i]) for arr in cols))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return _write_table(path, report.COLUMNS, zip(*cols), sep=" ", comment="# ")
 
 
 def _code_fingerprint() -> str:
@@ -358,33 +373,32 @@ def _run_entropy(cfg: RunConfig, out: str, warnings_: list):
         "h": mesh.h,
         "n_vertices": mesh.n_vertices,
     }
-    jpath = os.path.join(out, "entropy.json")
-    _atomic_write(jpath, json.dumps(payload, indent=2, default=_fmt) + "\n")
-    cpath = os.path.join(out, "entropy.csv")
-    _write_csv(
-        cpath,
-        ("tag", "tau", "mu", "W_constancy", "el_residual", "iterations"),
-        [(cfg.tag, cfg.tau, result.mu, result.W_constancy,
-          result.el_residual, result.iterations)],
-    )
-    return [jpath, cpath]
+    return [
+        _write_json(os.path.join(out, "entropy.json"), payload),
+        _write_table(
+            os.path.join(out, "entropy.csv"),
+            ("tag", "tau", "mu", "W_constancy", "el_residual", "iterations"),
+            [(cfg.tag, cfg.tau, result.mu, result.W_constancy,
+              result.el_residual, result.iterations)],
+        ),
+    ]
 
 
-def _flow_stage(cfg: RunConfig, cache: _Cache):
-    """Flow of the domain's boundary sampled at --vertices, cached.
+_TRUNCATION_CAUSES = {
+    "turning": "turning angle per length above 1/(3h), curvature no longer resolved",
+    "embedding": "the next step would make the curve self-intersect",
+}
+
+
+def _flow_stage(cfg: RunConfig, cache: _Cache, warnings_: list):
+    """Flow of the domain's boundary sampled at --vertices, cached; a flow
+    that stopped early is reported in ``warnings_``.
 
     Analytic curves are sampled exactly at that count; a polyline file is
     resampled linearly by vertex index.
     """
     curve = _require_curve(parse_domain(cfg.domain, cfg.vertices), cfg.vertices)
-    key = {
-        "domain": cfg.domain,
-        "vertices": cfg.vertices,
-        "frac": cfg.frac,
-        "snapshots": cfg.snapshots,
-        "dt_scale": cfg.dt_scale,
-        "a": cfg.a,
-    }
+    key = {name: getattr(cfg, name) for name in _FLOW_CHAIN if name != "h"}
 
     def run():
         c = curve
@@ -394,53 +408,43 @@ def _flow_stage(cfg: RunConfig, cache: _Cache):
                     c.vertices, np.arange(cfg.vertices) * len(c) / cfg.vertices
                 )
             )
+        # run_flow's T_est: the enclosed area falls at 2 pi per unit time
+        t_est = c.enclosed_area() / (2.0 * np.pi)
+        if cfg.a is not None and cfg.a < t_est:
+            raise ValidationError(f"a={cfg.a} must be >= the curve's T_est={t_est}")
         return flow.run_flow(c, cfg.frac, cfg.snapshots, cfg.dt_scale, cfg.a)
 
-    return cache.get_or_run("flow", key, run), key
-
-
-_TRUNCATION_CAUSES = {
-    "turning": "turning angle per length above 1/(3h), curvature no longer resolved",
-    "embedding": "the next step would make the curve self-intersect",
-}
-
-
-def _warn_if_truncated(traj, warnings_: list):
-    """Name the guard that stopped the flow early, for every stage built on it."""
+    traj = cache.get_or_run("flow", key, run)
     if traj.truncated:
         reason = traj.meta["truncation"]
         warnings_.append(
             f"flow stopped early by the {reason} guard after "
             f"{traj.meta['steps']} steps ({_TRUNCATION_CAUSES[reason]})"
         )
+    return traj, key
 
 
 def _run_flow(cfg: RunConfig, out: str, warnings_: list):
-    cache = _Cache(out)
-    traj, _ = _flow_stage(cfg, cache)
-    _warn_if_truncated(traj, warnings_)
-    cpath = os.path.join(out, "flow.csv")
-    _write_csv(
-        cpath,
-        ("t", "tau", "area", "length"),
-        [(s.t, s.tau, s.area, s.length) for s in traj.snapshots],
-    )
-    jpath = os.path.join(out, "trajectory.json")
-    _atomic_write(
-        jpath,
-        json.dumps(
+    traj, _ = _flow_stage(cfg, _Cache(out), warnings_)
+    return [
+        _write_table(
+            os.path.join(out, "flow.csv"),
+            ("t", "tau", "area", "length"),
+            [(s.t, s.tau, s.area, s.length) for s in traj.snapshots],
+        ),
+        _write_json(
+            os.path.join(out, "trajectory.json"),
             {"a": traj.a, "T_est": traj.T_est, "truncated": traj.truncated,
              "truncation": traj.meta["truncation"], "steps": traj.meta["steps"],
              "records": traj.to_records()},
-            default=_fmt,
-        )
-        + "\n",
-    )
-    return [cpath, jpath]
+            indent=None,
+        ),
+    ]
 
 
-def _conjugate_stage(cfg: RunConfig, cache: _Cache):
-    traj, flow_key = _flow_stage(cfg, cache)
+def _conjugate_stage(cfg: RunConfig, cache: _Cache, warnings_: list):
+    """The cached backward solve along the flow; both add their warnings."""
+    traj, flow_key = _flow_stage(cfg, cache, warnings_)
     key = {"flow": flow_key, "h": cfg.h, "steps_per_tau": cfg.steps_per_tau}
     state = cache.get_or_run(
         "conjugate",
@@ -449,20 +453,17 @@ def _conjugate_stage(cfg: RunConfig, cache: _Cache):
             traj, h=cfg.h, steps_per_tau=cfg.steps_per_tau
         ),
     )
+    warnings_.extend(state.warnings)
     return state
 
 
 def _run_conjugate(cfg: RunConfig, out: str, warnings_: list):
-    cache = _Cache(out)
-    state = _conjugate_stage(cfg, cache)
-    _warn_if_truncated(state.trajectory, warnings_)
-    warnings_.extend(state.warnings)
-    cpath = os.path.join(out, "conservation.csv")
-    _write_csv(cpath, ("t", "mass"), state.conservation_log)
-    jpath = os.path.join(out, "conjugate.json")
-    _atomic_write(
-        jpath,
-        json.dumps(
+    state = _conjugate_stage(cfg, _Cache(out), warnings_)
+    return [
+        _write_table(os.path.join(out, "conservation.csv"), ("t", "mass"),
+                     state.conservation_log),
+        _write_json(
+            os.path.join(out, "conjugate.json"),
             {
                 "t0_index": state.t0_index,
                 "max_mass_drift": state.max_mass_drift(),
@@ -470,45 +471,31 @@ def _run_conjugate(cfg: RunConfig, out: str, warnings_: list):
                 "linear_solve": state.linear_solve,
                 "warnings": state.warnings,
             },
-            indent=2,
-            default=_fmt,
-        )
-        + "\n",
-    )
-    return [cpath, jpath]
+        ),
+    ]
 
 
 def _run_harnack(cfg: RunConfig, out: str, warnings_: list):
-    cache = _Cache(out)
-    state = _conjugate_stage(cfg, cache)
-    _warn_if_truncated(state.trajectory, warnings_)
-    warnings_.extend(state.warnings)
+    state = _conjugate_stage(cfg, _Cache(out), warnings_)
     report = harnack.rate_identity_check(state, skip=cfg.skip)
     warnings_.extend(report.meta.get("warnings", []))
-    cpath = os.path.join(out, "harnack.csv")
-    _write_csv(
-        cpath,
-        report.COLUMNS,
-        [[r[name] for name in report.COLUMNS] for r in report.records],
-    )
-    ppath = os.path.join(out, "harnack.dat")
-    emit_plot_data(report, ppath)
-    jpath = os.path.join(out, "harnack.json")
-    _atomic_write(
-        jpath,
-        json.dumps(
+    return [
+        _write_table(
+            os.path.join(out, "harnack.csv"),
+            report.COLUMNS,
+            [[r[name] for name in report.COLUMNS] for r in report.records],
+        ),
+        emit_plot_data(report, os.path.join(out, "harnack.dat")),
+        _write_json(
+            os.path.join(out, "harnack.json"),
             {
                 "max_gap_a_rel": report.max_gap_a_rel(),
                 "max_gap_gradw_rel": report.max_gap_gradw_rel(),
                 "skipped_window": list(report.skipped_window),
                 "meta": report.meta,
             },
-            indent=2,
-            default=_fmt,
-        )
-        + "\n",
-    )
-    return [cpath, ppath, jpath]
+        ),
+    ]
 
 
 def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
@@ -520,24 +507,19 @@ def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
         domain, centers, radii, beta_spec=cfg.beta,
         budget=cfg.budget, seed=cfg.seed,
     )
-    cpath = os.path.join(out, "collapse.csv")
-    _write_csv(
-        cpath, scan.COLUMNS, [[row[name] for name in scan.COLUMNS] for row in scan.rows]
-    )
-    ppath = os.path.join(out, "collapse.dat")
-    emit_plot_data(scan, ppath)
-    jpath = os.path.join(out, "collapse.json")
-    _atomic_write(
-        jpath,
-        json.dumps(
+    return [
+        _write_table(
+            os.path.join(out, "collapse.csv"),
+            scan.COLUMNS,
+            [[row[name] for name in scan.COLUMNS] for row in scan.rows],
+        ),
+        emit_plot_data(scan, os.path.join(out, "collapse.dat")),
+        _write_json(
+            os.path.join(out, "collapse.json"),
             {"dim": scan.dim, "collapsed_trend": scan.collapsed_trend,
              "meta": scan.meta},
-            indent=2,
-            default=_fmt,
-        )
-        + "\n",
-    )
-    return [cpath, ppath, jpath]
+        ),
+    ]
 
 
 def _run_logsobolev(cfg: RunConfig, out: str, warnings_: list):
@@ -557,20 +539,15 @@ def _run_logsobolev(cfg: RunConfig, out: str, warnings_: list):
             rows.append((i, eps, chk["lhs"], chk["rhs"], chk["holds"]))
     if violations:
         warnings_.append(f"{violations} log-Sobolev violations")
-    cpath = os.path.join(out, "logsobolev.csv")
-    _write_csv(cpath, ("field", "eps", "lhs", "rhs", "holds"), rows)
-    jpath = os.path.join(out, "logsobolev.json")
-    _atomic_write(
-        jpath,
-        json.dumps(
+    return [
+        _write_table(os.path.join(out, "logsobolev.csv"),
+                     ("field", "eps", "lhs", "rhs", "holds"), rows),
+        _write_json(
+            os.path.join(out, "logsobolev.json"),
             {"constants": consts, "violations": violations,
              "fields": cfg.fields, "eps": eps_list},
-            indent=2,
-            default=_fmt,
-        )
-        + "\n",
-    )
-    return [cpath, jpath]
+        ),
+    ]
 
 
 def _run_verify(cfg: RunConfig, out: str, warnings_: list):
@@ -580,8 +557,7 @@ def _run_verify(cfg: RunConfig, out: str, warnings_: list):
         checks = verify_collapse(budget=cfg.budget, seed=cfg.seed)
     else:
         raise ValidationError(f"unknown suite {cfg.suite!r}")
-    jpath = os.path.join(out, f"verify-{cfg.suite}.json")
-    _atomic_write(jpath, json.dumps(checks, indent=2, default=_fmt) + "\n")
+    jpath = _write_json(os.path.join(out, f"verify-{cfg.suite}.json"), checks)
     failed = [name for name, c in checks.items() if not c["ok"]]
     if failed:
         raise AcceptanceFailure(f"suite {cfg.suite!r} failed: {failed}")
@@ -592,7 +568,7 @@ class AcceptanceFailure(RuntimeError):
     pass
 
 
-def verify_shrinker(h: float = 0.02, steps_per_tau: float = 500.0) -> dict:
+def verify_shrinker(h=RunConfig.h, steps_per_tau=RunConfig.steps_per_tau) -> dict:
     """Shrinking-circle equality battery; see tests for the full version."""
     times = np.arange(0.0, 0.4 + 1e-12, 0.0025)
     traj = flow.analytic_shrinking_disk_trajectory(1.0, times)
@@ -616,7 +592,7 @@ def verify_shrinker(h: float = 0.02, steps_per_tau: float = 500.0) -> dict:
     return checks
 
 
-def verify_collapse(budget: int = collapse.DEFAULT_BUDGET, seed: int = 0) -> dict:
+def verify_collapse(budget=RunConfig.budget, seed=RunConfig.seed) -> dict:
     """Slab, catenoid, grim reaper and shrinking-sphere collapse checks."""
     slab = geometry.AnalyticDomain.slab(1.0)
     radii = [4.0 * 2.0**k for k in range(8)]
@@ -628,7 +604,7 @@ def verify_collapse(budget: int = collapse.DEFAULT_BUDGET, seed: int = 0) -> dic
     r2_slab = 1.0 - float(resid @ resid) / float((r - r.mean()) @ (r - r.mean()))
 
     sphere = collapse.shrinking_sphere_ratio(2, -0.25, 2.0)
-    checks = {
+    return {
         "slab_inverse_r_fit": {"value": r2_slab, "tol": 0.99, "ok": r2_slab >= 0.99},
         "slab_collapsed_trend": {
             "value": scan.collapsed_trend, "tol": True,
@@ -639,17 +615,31 @@ def verify_collapse(budget: int = collapse.DEFAULT_BUDGET, seed: int = 0) -> dic
             "ok": bool(abs(sphere - 24.0) <= 0.01 * 24.0),
         },
     }
-    return checks
 
 
+# the verify flags each suite reads
+_SUITE_FLAGS = {"shrinker": ("h", "steps_per_tau"), "collapse": ("seed", "budget")}
+
+# --h is read from conjugate on; flow accepts it so that one argv drives the
+# whole chain
+_FLOW_CHAIN = ("domain", "h", "frac", "snapshots", "dt_scale", "a", "vertices")
+
+# subcommand -> (pipeline, help, the RunConfig fields the pipeline reads);
+# each field is a flag of the subcommand, and so are --out and --tag
 _PIPELINES = {
-    "entropy": _run_entropy,
-    "flow": _run_flow,
-    "conjugate": _run_conjugate,
-    "harnack": _run_harnack,
-    "collapse": _run_collapse,
-    "logsobolev": _run_logsobolev,
-    "verify": _run_verify,
+    "entropy": (_run_entropy, "minimize W_beta, report mu",
+                ("domain", "tau", "h", "beta", "tol")),
+    "flow": (_run_flow, "curve shortening flow snapshots", _FLOW_CHAIN),
+    "conjugate": (_run_conjugate, "backward conjugate heat solve along the flow",
+                  _FLOW_CHAIN + ("steps_per_tau",)),
+    "harnack": (_run_harnack, "rate identity and Harnack integrand checks",
+                _FLOW_CHAIN + ("steps_per_tau", "skip")),
+    "collapse": (_run_collapse, "volume-ratio scans",
+                 ("domain", "beta", "seed", "radii", "centers", "budget")),
+    "logsobolev": (_run_logsobolev, "log-Sobolev inequality checks",
+                   ("domain", "h", "seed", "eps", "fields")),
+    "verify": (_run_verify, "acceptance batteries",
+               ("suite",) + sum(_SUITE_FLAGS.values(), ())),
 }
 
 
@@ -659,7 +649,7 @@ def run(cfg: RunConfig) -> RunManifest:
     os.makedirs(out, exist_ok=True)
     warnings_: list = []
     start = time.monotonic()
-    outputs = _PIPELINES[cfg.subcommand](cfg, out, warnings_)
+    outputs = _PIPELINES[cfg.subcommand][0](cfg, out, warnings_)
     manifest = RunManifest(
         config=cfg.to_dict(),
         versions={
@@ -681,79 +671,29 @@ def run(cfg: RunConfig) -> RunManifest:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand's flags, named, typed and defaulted by RunConfig."""
     p = argparse.ArgumentParser(
         prog="entropylab",
         description="boundary entropy functionals on moving planar domains",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def command(name, hlp):
+    # None marks a verify flag that was not given, so that _parse_args can
+    # reject the flags of the suite that does not run; RunConfig fills in
+    # the default
+    suite_flags = sum(_SUITE_FLAGS.values(), ())
+    for command, (_, hlp, names) in _PIPELINES.items():
         # no abbreviations: "--h" on a subcommand without --h is an error,
         # not a request for --help
-        return sub.add_parser(name, help=hlp, allow_abbrev=False)
-
-    def base(sp, *names):
-        """The shared flags the subcommand's pipeline reads, plus --out, --tag."""
+        sp = sub.add_parser(command, help=hlp, allow_abbrev=False)
         for name in names + ("out", "tag"):
             default = getattr(RunConfig, name)
-            sp.add_argument(f"--{name}", type=type(default), default=default)
-
-    def flow_chain(sp):
-        # --h is read from conjugate on; flow accepts it so that one argv
-        # drives the whole chain
-        base(sp, "domain", "h")
-        sp.add_argument("--frac", type=float, default=0.5)
-        sp.add_argument("--snapshots", type=int, default=21)
-        sp.add_argument("--dt-scale", dest="dt_scale", type=float, default=1.0)
-        sp.add_argument("--a", type=float, default=None)
-        sp.add_argument("--vertices", type=int, default=512)
-
-    def steps_per_tau(sp):
-        sp.add_argument("--steps-per-tau", dest="steps_per_tau",
-                        type=float, default=500.0)
-
-    sp = command("entropy", "minimize W_beta, report mu")
-    base(sp, "domain", "tau", "h", "beta")
-    sp.add_argument("--tol", type=float, default=1e-8)
-
-    sp = command("flow", "curve shortening flow snapshots")
-    flow_chain(sp)
-
-    sp = command("conjugate", "backward conjugate heat solve along the flow")
-    flow_chain(sp)
-    steps_per_tau(sp)
-
-    sp = command("harnack", "rate identity and Harnack integrand checks")
-    flow_chain(sp)
-    steps_per_tau(sp)
-    sp.add_argument("--skip", type=int, default=harnack.DEFAULT_SKIP)
-
-    sp = command("collapse", "volume-ratio scans")
-    base(sp, "domain", "beta", "seed")
-    sp.add_argument("--radii", default="geometric:4,512")
-    sp.add_argument("--centers", default="origin")
-    sp.add_argument("--budget", type=int, default=collapse.DEFAULT_BUDGET)
-
-    sp = command("logsobolev", "log-Sobolev inequality checks")
-    base(sp, "domain", "h", "seed")
-    sp.add_argument("--eps", default="0.1,1,10")
-    sp.add_argument("--fields", type=int, default=100)
-
-    sp = command("verify", "acceptance batteries")
-    base(sp)
-    sp.add_argument("--suite", default="shrinker",
-                    choices=("shrinker", "collapse"))
-    # None marks a flag that was not given, so that main can reject the
-    # flags of the suite that does not run; RunConfig fills in the default
-    sp.add_argument("--h", type=float, default=None)
-    sp.add_argument("--steps-per-tau", dest="steps_per_tau", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None)
+            sp.add_argument(
+                "--" + name.replace("_", "-"),
+                type=float if name == "a" else type(default),
+                default=None if command == "verify" and name in suite_flags else default,
+                choices=tuple(_SUITE_FLAGS) if name == "suite" else None,
+            )
     return p
-
-
-# the verify flags each suite reads
-_SUITE_FLAGS = {"shrinker": ("h", "steps_per_tau"), "collapse": ("seed", "budget")}
 
 
 def _parse_args(argv) -> dict:

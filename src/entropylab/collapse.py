@@ -20,6 +20,7 @@ from .geometry import AnalyticDomain, GeometryError, PlanarCurve
 DEFAULT_BUDGET = 10**6
 N_REPLICATES = 8
 BETA_SPECS = ("zero", "mean_curvature")
+GRIM_REAPER_GRID = 200_001  # x1 cells for the grim reaper boundary integral
 
 
 class CollapseError(ValueError):
@@ -188,8 +189,7 @@ def _polyline_boundary_integral(curve: PlanarCurve, center, r):
     return total
 
 
-def boundary_beta_integral(domain, center, r: float, beta_spec,
-                           resolution: int = 200_001) -> float:
+def boundary_beta_integral(domain, center, r: float, beta_spec) -> float:
     """int_{boundary(Omega) n B_r(center)} |beta| dS for beta_spec "zero"
     or "mean_curvature" (|beta| = |H|)."""
     if beta_spec not in BETA_SPECS:
@@ -217,10 +217,10 @@ def boundary_beta_integral(domain, center, r: float, beta_spec,
             raise CollapseError("grim reaper boundary integral implemented in 2D")
         # H ds = dx1 exactly (H = cos x1, ds = dx1 / cos x1): the integral is
         # the x1-measure of the in-ball part of the curve, to grid resolution
-        x1 = np.linspace(-np.pi / 2, np.pi / 2, resolution + 1)[1:-1]
+        x1 = np.linspace(-np.pi / 2, np.pi / 2, GRIM_REAPER_GRID + 1)[1:-1]
         z = -np.log(np.cos(x1))
         inside = (x1 - center[0]) ** 2 + (z - center[1]) ** 2 < r * r
-        return float(inside.sum() * np.pi / resolution)
+        return float(inside.sum() * np.pi / GRIM_REAPER_GRID)
 
     if v == "ball":
         R, dim = domain.params
@@ -252,14 +252,13 @@ class RatioScan:
 
 
 def ratio_scan(domain, centers, radii, beta_spec="zero",
-               budget: int = DEFAULT_BUDGET, seed: int = 0,
-               c1_bound: float = np.inf) -> RatioScan:
+               budget: int = DEFAULT_BUDGET, seed: int = 0) -> RatioScan:
     """Scan V(Omega n B_r)/r^dim along (center, r) pairs.
 
-    The collapsed-trend flag is a statement about the finite scan only:
-    the ratio decreases monotonically while every admissible row keeps
-    c1 <= c1_bound.  Rows with an empty half-ball get c1 = inf and are
-    flagged, not dropped.
+    The collapsed-trend flag is a statement about the finite scan only: at
+    least three rows, and the ratio decreases monotonically to below half its
+    first value.  Rows with an empty half-ball get c1 = inf and are flagged,
+    not dropped.
     """
     if beta_spec not in BETA_SPECS:
         raise CollapseError(f"unsupported beta spec {beta_spec!r}")
@@ -295,8 +294,7 @@ def ratio_scan(domain, centers, radii, beta_spec="zero",
 
     ratios = [row["ratio"] for row in rows]
     monotone = all(b <= a * (1 + 1e-9) for a, b in zip(ratios[:-1], ratios[1:]))
-    admissible = all(row["c1"] <= c1_bound for row in rows)
-    trend = monotone and admissible and len(rows) >= 3 and ratios[-1] < ratios[0] / 2
+    trend = monotone and len(rows) >= 3 and ratios[-1] < ratios[0] / 2
     return RatioScan(rows, dim, trend, meta={"beta_spec": str(beta_spec),
                                              "budget": budget, "seed": seed})
 

@@ -48,6 +48,7 @@ from . import fem, functional, meshing, minimizer
 from .flow import FlowTrajectory
 
 
+THETA = 0.5  # trapezoidal time stepping; see backward_solve
 DEFECT_RTOL = 1e-15  # relative residual at which defect correction stops
 MAX_CORRECTIONS = 12  # corrections with a stale factor before refactoring
 
@@ -106,7 +107,6 @@ def end_data(
     trajectory: FlowTrajectory,
     t0_index: int = -1,
     h: float = 0.02,
-    tol: float = 1e-9,
 ):
     """Mesh the t0 domain and take the minimizer with beta = H(t0) as u(t0)."""
     snaps = trajectory.snapshots
@@ -116,7 +116,7 @@ def end_data(
     ops = fem.assemble(mesh)
     kappa = snap.curve.curvature()
     beta = interp_periodic(kappa, mesh.boundary_param)
-    result = minimizer.minimize(ops, snap.tau, beta, tol=tol)
+    result = minimizer.minimize(ops, snap.tau, beta)
     if not result.converged:
         raise ConjugateError(
             f"minimizer failed at t0 (residual warnings: {result.warnings})"
@@ -283,7 +283,6 @@ def backward_solve(
     u_end: np.ndarray,
     t0_index: int = -1,
     steps_per_tau: float = 250.0,
-    theta: float = 0.5,
     end_result=None,
 ) -> BackwardSolveState:
     """March u from the t0 snapshot back to the first snapshot.
@@ -291,11 +290,12 @@ def backward_solve(
     Substeps between snapshots are graded proportionally to tau (the time
     error scales with ds/tau for near-shrinker data), with at least one step
     per snapshot interval and ``steps_per_tau`` steps per unit of log tau
-    overall.  theta = 1 is implicit Euler; the default 1/2 (trapezoidal) is
-    what makes the boundary-derivative diagnostics downstream converge --
-    first-order stepping leaves an O(ds) boundary layer in u whose third
-    derivatives do not vanish with h.  Positivity is monitored rather than
-    guaranteed; a clamp plus warning handles the (unobserved) failure mode.
+    overall.  The scheme is trapezoidal (THETA = 1/2), not implicit Euler
+    (theta = 1): that is what makes the boundary-derivative diagnostics
+    downstream converge -- first-order stepping leaves an O(ds) boundary
+    layer in u whose third derivatives do not vanish with h.  Positivity is
+    monitored rather than guaranteed; a clamp plus warning handles the
+    (unobserved) failure mode.
     """
     snaps = trajectory.snapshots
     t0_index = range(len(snaps))[t0_index]
@@ -336,7 +336,7 @@ def backward_solve(
             disp = extend(b_new - verts[:nb])
             new_verts = verts + disp
             w = disp / ds
-            A, B, m_lumped = assembler.step(new_verts, w, ds, theta)
+            A, B, m_lumped = assembler.step(new_verts, w, ds, THETA)
             u = solver.solve(A, B @ u)
             verts = new_verts
             mass = float(m_lumped @ u)
@@ -364,10 +364,9 @@ def solve_from_minimizer(
     h: float = 0.02,
     t0_index: int = -1,
     steps_per_tau: float = 250.0,
-    theta: float = 0.5,
 ) -> BackwardSolveState:
     """end_data + backward_solve in one call."""
     mesh0, _, u0, result, t0_index = end_data(trajectory, t0_index, h)
     return backward_solve(
-        trajectory, mesh0, u0, t0_index, steps_per_tau, theta, end_result=result
+        trajectory, mesh0, u0, t0_index, steps_per_tau, end_result=result
     )

@@ -31,24 +31,6 @@ class FemOperators:
     grads: np.ndarray  # (n_tri, 3, 2) P1 basis gradients per triangle
     areas: np.ndarray
 
-    def boundary_load(self, weight) -> np.ndarray:
-        """Lumped boundary load vector l_i = w_i * ds_i."""
-        nb = self.mesh.n_boundary
-        out = np.zeros(self.mesh.n_vertices)
-        out[:nb] = self.boundary_weights[:nb] * np.asarray(weight, dtype=float)
-        return out
-
-    def weak_laplacian(self, f, boundary_flux=None) -> np.ndarray:
-        """Nodal Laplacian from the weak form with Neumann data grad f . nu.
-
-        Solves M_lumped * lap = l(beta) - K f, with beta the prescribed
-        normal derivative on the boundary (zero if omitted).
-        """
-        rhs = -self.K @ np.asarray(f, dtype=float)
-        if boundary_flux is not None:
-            rhs = rhs + self.boundary_load(boundary_flux)
-        return rhs / self.M_lumped
-
 
 def _p1_elements(vertices, triangles):
     """(areas, grads, ke, me) of P1 triangles; grads[t, i] = grad phi_i on t."""
@@ -89,19 +71,8 @@ def assemble(mesh: TriMesh) -> FemOperators:
     K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M_lumped = np.asarray(M.sum(axis=1)).ravel()
-    return FemOperators(mesh, K, M, M_lumped, _boundary_weights(mesh), grads, areas)
-
-
-def _boundary_weights(mesh: TriMesh) -> np.ndarray:
-    """Half the lengths of the two boundary edges at each boundary vertex."""
-    v = mesh.vertices
-    nb = mesh.n_boundary
-    bl = np.linalg.norm(
-        v[(np.arange(nb) + 1) % nb] - v[np.arange(nb)], axis=1
-    )
-    bw = np.zeros(mesh.n_vertices)
-    bw[:nb] = 0.5 * (bl + np.roll(bl, 1))
-    return bw
+    bw = np.pad(mesh.boundary_curve().vertex_weights(), (0, n - mesh.n_boundary))
+    return FemOperators(mesh, K, M, M_lumped, bw, grads, areas)
 
 
 class P1Pattern:
@@ -138,9 +109,10 @@ class P1Pattern:
         """What ``assemble`` gives for a mesh with this connectivity, in CSC."""
         areas, grads, ke, me = _p1_elements(mesh.vertices, self.triangles)
         m = self.assemble(me)
+        bw = mesh.boundary_curve().vertex_weights()
         return FemOperators(
             mesh, self.matrix(self.assemble(ke)), self.matrix(m), self.row_sums(m),
-            _boundary_weights(mesh), grads, areas,
+            np.pad(bw, (0, self.n - len(bw))), grads, areas,
         )
 
 

@@ -70,20 +70,6 @@ class FlowTrajectory:
             for s in self.snapshots
         ]
 
-    @staticmethod
-    def from_records(records, a, T_est, truncated=False):
-        snaps = [
-            Snapshot(
-                r["t"],
-                r["tau"],
-                PlanarCurve(np.asarray(r["vertices"]), check_embedded=False),
-                r["area"],
-                r["length"],
-            )
-            for r in records
-        ]
-        return FlowTrajectory(snaps, a, T_est, truncated)
-
 
 def _edges(x: np.ndarray, nxt: np.ndarray):
     """Edge vectors x[i+1] - x[i] of the closed polygon and their lengths."""
@@ -252,20 +238,19 @@ def run_flow(
 
 
 def analytic_shrinking_disk_trajectory(
-    R0: float, times, a: float | None = None, n_vertices: int = 512
+    R0: float, times, n_vertices: int = 512
 ) -> FlowTrajectory:
-    """Exact shrinking circles R(t) = sqrt(R0^2 - 2t), for oracle use."""
+    """Exact shrinking circles R(t) = sqrt(R0^2 - 2t), for oracle use; tau
+    runs to the singular time, a = T."""
     times = np.asarray(times, dtype=float)
     T = R0**2 / 2.0
     if np.any(times >= T):
         raise FlowError(f"times must stay below the singular time {T}")
-    if a is None:
-        a = T
     snaps = []
     for t in times:
         R = float(np.sqrt(R0**2 - 2.0 * t))
         c = PlanarCurve.circle(R, n_vertices)
         snaps.append(
-            Snapshot(float(t), a - float(t), c, c.enclosed_area(), c.arc_length())
+            Snapshot(float(t), T - float(t), c, c.enclosed_area(), c.arc_length())
         )
-    return FlowTrajectory(snaps, a, T, False, meta={"analytic": True, "R0": R0})
+    return FlowTrajectory(snaps, T, T, False, meta={"analytic": True, "R0": R0})

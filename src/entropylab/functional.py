@@ -21,6 +21,7 @@ from .fem import FemOperators, triangle_gradients
 
 N_PLUS_1 = 2  # ambient dimension for all PDE work
 _U_FLOOR = 1e-300
+LOG_SOBOLEV_MARGIN = 2.0  # factor on the estimated Sobolev and trace constants
 
 
 class FunctionalError(ValueError):
@@ -36,16 +37,6 @@ class EntropyReport:
     ibp_gap: float
     shift: float = 0.0
     parts: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "w_beta": self.w_beta,
-            "normalization": self.normalization,
-            "ibp_value": self.ibp_value,
-            "ibp_gap": self.ibp_gap,
-            "shift": self.shift,
-            "parts": dict(self.parts),
-        }
 
 
 def u_from_f(f, tau: float) -> np.ndarray:
@@ -188,22 +179,22 @@ def _trial_family(ops, seed=0):
     return trials
 
 
-def log_sobolev_constants(ops: FemOperators, seed: int = 0, margin: float = 2.0):
+def log_sobolev_constants(ops: FemOperators, seed: int = 0):
     """Estimate the L1-Sobolev constant c_S and the trace constant c_trace.
 
     Both are suprema of Rayleigh-type ratios; they are estimated over a trial
-    family and inflated by ``margin``.  The values are estimates, not proven
-    bounds; the margin is recorded alongside.
+    family and inflated by LOG_SOBOLEV_MARGIN.  The values are estimates, not
+    proven bounds; the margin is recorded alongside.
     """
     trials = _trial_family(ops, seed)
     c_s = max(_sobolev_ratio(ops, t) for t in trials)
     c_tr = max(_trace_ratio(ops, t) for t in trials)
     return {
-        "c_S": margin * c_s,
-        "c_trace": margin * c_tr,
+        "c_S": LOG_SOBOLEV_MARGIN * c_s,
+        "c_trace": LOG_SOBOLEV_MARGIN * c_tr,
         "c_S_raw": c_s,
         "c_trace_raw": c_tr,
-        "margin": margin,
+        "margin": LOG_SOBOLEV_MARGIN,
     }
 
 
@@ -276,7 +267,7 @@ def cutoff_profile(rho, r: float) -> np.ndarray:
     return np.cos(np.pi * s / 2.0) ** 2
 
 
-def volume_ratio_upper_bound(domain, beta, center, r: float, n_plus_1=None) -> dict:
+def volume_ratio_upper_bound(domain, beta, center, r: float) -> dict:
     """Upper bound for mu_beta(Omega, r^2) from the cutoff test function.
 
     Substituting e^{-f} = a*zeta with the cos^2 cutoff (= 1 on B_{r/2},
@@ -290,7 +281,7 @@ def volume_ratio_upper_bound(domain, beta, center, r: float, n_plus_1=None) -> d
     """
     from . import collapse
 
-    d = int(n_plus_1) if n_plus_1 is not None else getattr(domain, "dim", N_PLUS_1)
+    d = getattr(domain, "dim", N_PLUS_1)
     center = np.asarray(center, dtype=float)
     v_r, _ = collapse.ball_intersection_volume(domain, center, r)
     v_half, _ = collapse.ball_intersection_volume(domain, center, r / 2.0)

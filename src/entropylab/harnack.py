@@ -30,6 +30,7 @@ from .conjugate import BackwardSolveState
 DEFAULT_SKIP = 5  # snapshots dropped right before t0 (compatibility window)
 PATCH_K = 45  # nearest neighbors per local cubic fit (10 coefficients)
 QUAD_K = 36  # nearest neighbors per boundary quadratic patch (radius ~ 3h)
+LAYER_EXCLUDE = 1.5  # boundary spacings kept out of the Hessian fits
 
 
 class HarnackError(RuntimeError):
@@ -121,20 +122,17 @@ def _poly_fit(mesh, values, centers, degree, keep=None, k=PATCH_K, neighbors=Non
     return c, R
 
 
-def _hessian_from_fits(mesh, f, layer_exclude: float = 1.5):
+def _hessian_from_fits(mesh, f):
     """Per-vertex Hessian of f from local cubic fits (exact on quadratics).
 
-    Fit points closer than ``layer_exclude`` boundary spacings to the
+    Fit points closer than LAYER_EXCLUDE boundary spacings to the
     boundary are dropped: fields transported by the moving-mesh solver carry
     a mesh-scale boundary layer whose second differences do not vanish under
     refinement, and keeping those nodes out of the patches removes it while
     the one-sided cubic models still extrapolate cleanly to the boundary.
     The Hessian is still evaluated at every vertex.
     """
-    nb = mesh.n_boundary
-    bpos = mesh.vertices[:nb]
-    spacing = np.linalg.norm(np.roll(bpos, -1, axis=0) - bpos, axis=1).mean()
-    cutoff = layer_exclude * spacing
+    cutoff = LAYER_EXCLUDE * mesh.boundary_curve().edge_lengths().mean()
     keep = np.flatnonzero(mesh.interior_distance_to_boundary(cutoff) >= cutoff)
     c, R = _poly_fit(mesh, f, mesh.vertices, 3, keep=keep)
     H = np.empty((len(f), 2, 2))

@@ -18,6 +18,10 @@ from scipy.spatial import Delaunay, cKDTree
 from .geometry import GeometryError, PlanarCurve
 
 
+MIN_ANGLE = 20.0  # degrees; smaller angles fail the mesh attempt
+SMOOTHING_SWEEPS = 4  # Laplacian smoothing sweeps of the first attempt
+
+
 class MeshQualityError(RuntimeError):
     """Raised when the requested mesh quality is unreachable."""
 
@@ -89,25 +93,6 @@ class TriMesh:
             d[: self.n_boundary] = 0.0
             self._cache[key] = d
         return self._cache[key]
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-            "n_boundary": int(self.n_boundary),
-            "boundary_param": self.boundary_param.tolist(),
-            "h": self.h,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "TriMesh":
-        return TriMesh(
-            np.asarray(obj["vertices"], dtype=float),
-            np.asarray(obj["triangles"], dtype=int),
-            int(obj["n_boundary"]),
-            np.asarray(obj["boundary_param"], dtype=float),
-            float(obj["h"]),
-        )
 
 
 def _triangle_min_angles(v, t):
@@ -219,24 +204,19 @@ def _hex_lattice(bbox, h):
     return np.vstack(rows) if rows else np.empty((0, 2))
 
 
-def triangulate(
-    curve: PlanarCurve,
-    h: float,
-    min_angle: float = 20.0,
-    smoothing_sweeps: int = 4,
-) -> TriMesh:
+def triangulate(curve: PlanarCurve, h: float) -> TriMesh:
     """Quality mesh of the region enclosed by ``curve`` with target size h.
 
     The hex-lattice seeding occasionally beats against the boundary layer for
     unlucky (curve, h) combinations; a few nearby effective sizes are tried
-    before giving up, so the quality guarantee is kept without making the
+    before giving up, so the quality guarantee (no angle below MIN_ANGLE) is kept without making the
     caller hunt for a good h.
     """
     last_err = None
     for factor in (1.0, 0.97, 1.03, 0.94, 1.06, 0.91):
         try:
             return _triangulate_once(
-                curve, h, h * factor, min_angle, smoothing_sweeps + (factor != 1.0) * 2
+                curve, h, h * factor, SMOOTHING_SWEEPS + (factor != 1.0) * 2
             )
         except MeshQualityError as err:
             last_err = err
@@ -247,7 +227,6 @@ def _triangulate_once(
     curve: PlanarCurve,
     h: float,
     h_eff: float,
-    min_angle: float,
     smoothing_sweeps: int,
 ) -> TriMesh:
     if not curve.ccw:
@@ -315,10 +294,10 @@ def _triangulate_once(
         )
 
     angles = np.degrees(_triangle_min_angles(pts, simplices))
-    if angles.min() < min_angle:
+    if angles.min() < MIN_ANGLE:
         worst = simplices[int(np.argmin(angles))]
         raise MeshQualityError(
-            f"min angle {angles.min():.2f} deg < {min_angle} deg "
+            f"min angle {angles.min():.2f} deg < {MIN_ANGLE} deg "
             f"(worst triangle vertices {pts[worst].tolist()})"
         )
     return mesh

@@ -85,7 +85,6 @@ def minimize(
     tau: float,
     beta,
     phi0=None,
-    step: float = 1.0,
     max_iter: int = 20000,
     tol: float = 1e-9,
 ) -> MinimizerResult:
@@ -135,7 +134,7 @@ def minimize(
             d = resid / ops.M_lumped
             slope = float(resid @ d)
 
-        alpha = step
+        alpha = 1.0  # the full preconditioned step first, then halved
         accepted = False
         for _ in range(40):
             cand = phi - alpha * d

@@ -32,6 +32,43 @@ class TestConfig:
         assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
+_FLOW_CHAIN = {"domain": "disk:1", "h": 0.02, "frac": 0.5, "snapshots": 21,
+               "dt_scale": 1.0, "vertices": 512}
+
+# subcommand -> (what `entropylab <subcommand>` parses to besides subcommand,
+# --out and --tag; the flags it accepts that parse to nothing when not given)
+PARSED = {
+    "entropy": ({"domain": "disk:1", "tau": 0.5, "h": 0.02, "beta": "zero",
+                 "tol": 1e-8}, set()),
+    "flow": (_FLOW_CHAIN, {"a"}),
+    "conjugate": ({**_FLOW_CHAIN, "steps_per_tau": 500.0}, {"a"}),
+    "harnack": ({**_FLOW_CHAIN, "steps_per_tau": 500.0, "skip": 5}, {"a"}),
+    "collapse": ({"domain": "disk:1", "beta": "zero", "seed": 0,
+                  "radii": "geometric:4,512", "centers": "origin",
+                  "budget": 10**6}, set()),
+    "logsobolev": ({"domain": "disk:1", "h": 0.02, "seed": 0, "eps": "0.1,1,10",
+                    "fields": 100}, set()),
+    "verify": ({"suite": "shrinker"}, {"h", "steps_per_tau", "seed", "budget"}),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(PARSED))
+def test_subcommand_flags_and_defaults(sub):
+    defaults, unset = PARSED[sub]
+    common = {"subcommand": sub, "out": "runs", "tag": "run"}
+    assert cli._parse_args([sub]) == {**common, **defaults}
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
+    dests = {a.dest for a in subparsers.choices[sub]._actions} - {"help"}
+    assert dests == set(defaults) | unset | {"out", "tag"}
+    for dest, value in defaults.items():
+        flag = "--" + dest.replace("_", "-")
+        parsed = cli._parse_args([sub, flag, str(value)])[dest]
+        assert parsed == value and type(parsed) is type(value)
+    if "a" in unset:
+        parsed = cli._parse_args([sub, "--a", "2"])["a"]
+        assert parsed == 2.0 and type(parsed) is float
+
+
 class TestSpecParsers:
     def test_parse_domain_disk(self):
         d = cli.parse_domain("disk:2")
@@ -128,6 +165,24 @@ class TestPipelines:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--domain", "disk"],
+        ["entropy", "--domain", "ellipse:1"],
+        ["collapse", "--domain", "analytic:ball:1:3:4"],
+        ["collapse", "--domain", "analytic:disk"],
+        ["collapse", "--radii", "geometric:0,8"],
+        # a below the curve's T_est = 1/2
+        ["flow", "--domain", "disk:1", "--a", "0.1"],
+        ["conjugate", "--domain", "disk:1", "--a", "0.1"],
+        ["harnack", "--domain", "disk:1", "--a", "0.1"],
+    ], ids=" ".join)
+    def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
+        rc = cli.main(argv + ["--out", str(tmp_path / "runs")])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
     def test_collapse_rerun_byte_identical(self, tmp_path, capsys):
         args = [

@@ -64,14 +64,6 @@ class TestRecovery:
             errs.append(np.abs(g - exact)[interior].mean())
         assert errs[1] < 0.6 * errs[0]
 
-    def test_weak_laplacian_of_quadratic(self, ops):
-        # lap |x|^2 = 4 with grad f . nu = 2 on the unit circle
-        v = ops.mesh.vertices
-        f = np.sum(v**2, axis=1)
-        lap = ops.weak_laplacian(f, boundary_flux=2.0)
-        interior = ops.mesh.interior_distance_to_boundary(3 * ops.mesh.h) > 2 * ops.mesh.h
-        assert np.abs(lap[interior] - 4.0).max() < 0.2
-
 
 class TestInterpolate:
     def test_exact_on_p1(self, ops):
@@ -95,11 +87,3 @@ class TestInterpolate:
         idx = fem.locate(ops.mesh, np.array([[0.0, 0.0], [5.0, 5.0]]))
         assert idx[0] >= 0
         assert idx[1] == -1
-
-
-class TestBoundaryOperators:
-    def test_boundary_load_integrates(self, ops):
-        nb = ops.mesh.n_boundary
-        load = ops.boundary_load(np.ones(nb))
-        per = ops.boundary_weights.sum()
-        assert load.sum() == pytest.approx(per, rel=1e-12)

@@ -98,17 +98,6 @@ class TestTrajectory:
         for s in traj.snapshots:
             assert s.tau == pytest.approx(0.8 - s.t, abs=1e-14)
 
-    def test_records_round_trip(self):
-        traj = flow.run_flow(PlanarCurve.circle(1.0, 128), 0.3, 4)
-        back = flow.FlowTrajectory.from_records(
-            traj.to_records(), traj.a, traj.T_est, traj.truncated
-        )
-        assert len(back.snapshots) == len(traj.snapshots)
-        for s1, s2 in zip(traj.snapshots, back.snapshots):
-            assert s1.t == s2.t
-            assert np.allclose(s1.curve.vertices, s2.curve.vertices)
-            assert s1.area == pytest.approx(s2.area)
-
 
 class TestAnalyticTrajectory:
     def test_exact_radii_and_areas(self):

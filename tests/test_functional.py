@@ -189,5 +189,6 @@ class TestLogSobolev:
                 assert fn.log_sobolev_check(disk_ops, phi, eps, consts["c_S"])["holds"]
 
     def test_margin_recorded(self, disk_ops):
-        consts = fn.log_sobolev_constants(disk_ops, margin=2.0)
+        consts = fn.log_sobolev_constants(disk_ops)
+        assert consts["margin"] == fn.LOG_SOBOLEV_MARGIN == 2.0
         assert consts["c_S"] == pytest.approx(2.0 * consts["c_S_raw"])

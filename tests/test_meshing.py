@@ -4,7 +4,6 @@ import pytest
 from entropylab.geometry import PlanarCurve
 from entropylab.meshing import (
     MeshQualityError,
-    TriMesh,
     refine_boundary,
     triangulate,
 )
@@ -116,9 +115,3 @@ class TestTriMesh:
         assert disk_mesh.interior_distance_to_boundary(cutoff) is (
             disk_mesh.interior_distance_to_boundary(cutoff)
         )
-
-    def test_dict_round_trip(self, disk_mesh):
-        m2 = TriMesh.from_dict(disk_mesh.to_dict())
-        assert np.array_equal(m2.vertices, disk_mesh.vertices)
-        assert np.array_equal(m2.triangles, disk_mesh.triangles)
-        assert m2.n_boundary == disk_mesh.n_boundary
