@@ -154,27 +154,24 @@ def parse_domain(spec: str, m: int = _CURVE_M):
     analytic:* returns an AnalyticDomain for the collapse scans.
     """
     kind, *args = str(spec).split(":")
-    if kind in _DOMAIN_FORMS:
-        args = _spec_args(spec, kind, _DOMAIN_FORMS[kind], args)
-    if kind == "disk":
-        return geometry.PlanarCurve.circle(float(args[0]), m)
-    if kind == "ellipse":
-        return geometry.PlanarCurve.ellipse(float(args[0]), float(args[1]), m)
     if kind == "file":
-        return geometry.load_domain(args[0])
+        return geometry.load_domain(_spec_args(spec, kind, "path", args)[0])
+    if kind == "disk":
+        return geometry.PlanarCurve.circle(*_spec_numbers(spec, kind, "R", args), m)
+    if kind == "ellipse":
+        return geometry.PlanarCurve.ellipse(*_spec_numbers(spec, kind, "a:b", args), m)
     if kind == "analytic":
         variant, *params = args or [""]
         if variant not in _ANALYTIC_VARIANTS:
             raise ValidationError(f"unknown analytic variant {variant!r}")
-        params = _spec_args(
+        params = _spec_numbers(
             spec, f"analytic:{variant}", _ANALYTIC_VARIANTS[variant], params
         )
-        return getattr(geometry.AnalyticDomain, variant)(*map(float, params))
+        return getattr(geometry.AnalyticDomain, variant)(*params)
     raise ValidationError(f"unknown domain spec {spec!r}")
 
 
-# the parameters each spec takes after its kind; bracketed ones are optional
-_DOMAIN_FORMS = {"disk": "R", "ellipse": "a:b", "file": "path"}
+# the parameters each analytic variant takes; bracketed ones are optional
 _ANALYTIC_VARIANTS = {
     "disk": "R", "half_plane": "a", "slab": "d[:dim]", "grim_reaper_2d": "",
     "grim_reaper_product": "[n]", "catenoid_3d": "", "ball": "R[:dim]",
@@ -192,21 +189,49 @@ def _spec_args(spec: str, kind: str, params: str, args: list) -> list:
     return args
 
 
+def _spec_numbers(spec: str, kind: str, params: str, args: list) -> list:
+    """The numeric args of a domain spec, checked: the counts ``dim`` and
+    ``n`` are integers >= 1 and returned as int, the half plane's level is
+    finite, and every other parameter is a size, finite and positive."""
+    out = []
+    for name, text in zip(re.findall(r"\w+", params),
+                          _spec_args(spec, kind, params, args)):
+        v = float(text)
+        if name in ("dim", "n"):
+            if not (v.is_integer() and v >= 1):
+                raise ValidationError(f"spec {spec!r}: {name} must be an integer >= 1")
+            v = int(v)
+        elif not np.isfinite(v) or (v <= 0 and kind != "analytic:half_plane"):
+            raise ValidationError(f"spec {spec!r}: {name} must be positive and finite")
+        out.append(v)
+    return out
+
+
 def parse_radii(spec: str):
+    """Radii spec strings: geometric:lo,hi, linear:lo,hi,n, list:r1,r2,...
+
+    Every radius is finite and positive, and n is an integer >= 1.
+    """
     kind, _, rest = str(spec).partition(":")
     vals = [float(v) for v in rest.split(",")] if rest else []
     if kind == "geometric":
         lo, hi = _spec_args(spec, kind, "lo,hi", vals)
-        if not 0.0 < lo <= hi:
-            raise ValidationError(f"spec {spec!r} needs 0 < lo <= hi")
+        if not 0.0 < lo <= hi < np.inf:
+            raise ValidationError(f"spec {spec!r} needs 0 < lo <= hi < inf")
         n = int(round(np.log2(hi / lo))) + 1
-        return [lo * 2.0**k for k in range(n)]
-    if kind == "linear":
+        radii = [lo * 2.0**k for k in range(n)]
+    elif kind == "linear":
         lo, hi, n = _spec_args(spec, kind, "lo,hi,n", vals)
-        return list(np.linspace(lo, hi, int(n)))
-    if kind == "list":
-        return vals
-    raise ValidationError(f"unknown radii spec {spec!r}")
+        if not (n.is_integer() and n >= 1):
+            raise ValidationError(f"spec {spec!r}: n must be an integer >= 1")
+        radii = list(np.linspace(lo, hi, int(n)))
+    elif kind == "list":
+        radii = vals
+    else:
+        raise ValidationError(f"unknown radii spec {spec!r}")
+    if not all(0.0 < r < np.inf for r in radii):
+        raise ValidationError(f"spec {spec!r}: radii must be positive and finite")
+    return radii
 
 
 def parse_centers(spec: str, radii, dim: int = 2):

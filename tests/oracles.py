@@ -9,8 +9,15 @@ a tolerance.  The moving-mesh substep's solve is the earlier ``spsolve``
 from scratch, against which the reused-factor solve is held.  The flow step
 is the earlier ``np.roll`` form resampled through scipy's ``CubicSpline``,
 and the turning guard the standalone form the flow loop now folds into its
-own segment data.
+own segment data.  The polygon-circle clipping and boundary integral go one
+edge and one piece at a time, with the same arithmetic per piece as the
+edge-vectorized kernels (at a near tangency a crossing's parameter is
+ill-conditioned, so the reference must round alike), and sum their pieces
+exactly.  The Monte Carlo volume draws, scales and tests each replicate's
+points in one piece.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,3 +216,98 @@ def max_turning_per_length(x):
     seg = np.linalg.norm(t, axis=1)
     w = 0.5 * (seg + np.roll(seg, -1))
     return float((ang / w).max())
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _circle_crossings(a, d, dd, r2):
+    """Sorted parameters [0, hits..., 1] of the segment a + t d, t in [0, 1],
+    with the interior hits t where |a + t d|^2 = r^2."""
+    ts = [0.0]
+    ad = _dot(a, d)
+    disc = ad * ad - dd * (_dot(a, a) - r2)
+    if disc > 0.0:
+        root = np.sqrt(disc)
+        ts += [t for t in ((-ad - root) / dd, (-ad + root) / dd) if 0.0 < t < 1.0]
+    return ts + [1.0]
+
+
+def polygon_circle_area(vertices, center, r):
+    """Signed area of (polygon n disk), one edge and one piece at a time.
+
+    A piece counts as inside the disk when its midpoint lies strictly inside,
+    as in ``polyline_boundary_integral``: an edge that only touches the circle
+    at its midpoint lies outside the open disk and adds its sector.
+    """
+    p = np.asarray(vertices, dtype=float) - np.asarray(center, dtype=float)
+    q = np.roll(p, -1, axis=0)
+    terms = []
+    r2 = r * r
+    for a, b in zip(p, q):
+        d = b - a
+        dd = _dot(d, d)
+        if dd == 0.0:
+            continue
+        ts = _circle_crossings(a, d, dd, r2)
+        for t0, t1 in zip(ts[:-1], ts[1:]):
+            mid = a + 0.5 * (t0 + t1) * d
+            s0 = a + t0 * d
+            s1 = a + t1 * d
+            if _dot(mid, mid) < r2:
+                terms.append(0.5 * (s0[0] * s1[1] - s0[1] * s1[0]))
+            else:
+                ang = np.arctan2(s0[0] * s1[1] - s0[1] * s1[0], _dot(s0, s1))
+                terms.append(0.5 * r2 * ang)
+    return math.fsum(terms)
+
+
+def polyline_boundary_integral(vertices, beta, center, r):
+    """int beta ds over the part of the closed polyline inside B_r, with
+    beta linear along each edge, one edge and one piece at a time."""
+    p = np.asarray(vertices, dtype=float) - np.asarray(center, dtype=float)
+    q = np.roll(p, -1, axis=0)
+    b2 = np.roll(beta, -1)
+    terms = []
+    r2 = r * r
+    for a, b, ba, bb in zip(p, q, beta, b2):
+        d = b - a
+        dd = _dot(d, d)
+        if dd == 0.0:
+            continue
+        ts = _circle_crossings(a, d, dd, r2)
+        seg_len = np.sqrt(dd)
+        for t0, t1 in zip(ts[:-1], ts[1:]):
+            mid = a + 0.5 * (t0 + t1) * d
+            if _dot(mid, mid) < r2:
+                tm = 0.5 * (t0 + t1)
+                terms.append((ba * (1 - tm) + bb * tm) * (t1 - t0) * seg_len)
+    return math.fsum(terms)
+
+
+def ball_intersection_volume_mc(domain, center, r, budget, seed):
+    """V(Omega n B_r) by scrambled Sobol sampling, each replicate's points
+    drawn, scaled and tested in one piece."""
+    from scipy.stats import qmc
+
+    from entropylab import collapse
+
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    box = collapse._sampling_box(domain, center, r)
+    if box is None:
+        return 0.0, 0.0
+    lo, hi, dim = box
+    box_vol = float(np.prod(hi - lo))
+    m_bits = int(np.ceil(np.log2(max(budget // collapse.N_REPLICATES, 2))))
+    means = []
+    base = collapse._row_seed(center, r, seed)
+    for k in range(collapse.N_REPLICATES):
+        sob = qmc.Sobol(d=dim, scramble=True, seed=base + k)
+        pts = lo + sob.random_base2(m_bits) * (hi - lo)
+        inside = domain.contains(pts)
+        inside &= np.linalg.norm(pts - center, axis=1) < r
+        means.append(inside.mean() * box_vol)
+    value = float(np.mean(means))
+    err = float(np.std(means, ddof=1) / np.sqrt(collapse.N_REPLICATES))
+    return value, err

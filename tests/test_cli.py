@@ -172,6 +172,14 @@ class TestPipelines:
         ["collapse", "--domain", "analytic:ball:1:3:4"],
         ["collapse", "--domain", "analytic:disk"],
         ["collapse", "--radii", "geometric:0,8"],
+        # counts must be integers >= 1, sizes positive, radii finite and positive
+        ["collapse", "--domain", "analytic:grim_reaper_product:0", "--radii", "list:1,2"],
+        ["collapse", "--domain", "analytic:ball:1:2.5"],
+        ["entropy", "--domain", "disk:-1"],
+        ["entropy", "--domain", "ellipse:1.2:0"],
+        ["collapse", "--radii", "list:1,nan"],
+        ["collapse", "--radii", "list:1,-2"],
+        ["collapse", "--radii", "linear:1,2,2.7"],
         # a below the curve's T_est = 1/2
         ["flow", "--domain", "disk:1", "--a", "0.1"],
         ["conjugate", "--domain", "disk:1", "--a", "0.1"],
@@ -194,6 +202,9 @@ class TestPipelines:
         first = (tmp_path / "c1" / "collapse.csv").read_bytes()
         assert cli.main(args) == cli.EXIT_OK
         assert (tmp_path / "c1" / "collapse.csv").read_bytes() == first
+        # radii 4, 8, 16: the half balls of radius 4 and 8 are earlier full balls
+        meta = json.loads((tmp_path / "c1" / "collapse.json").read_text())["meta"]
+        assert (meta["volumes_evaluated"], meta["volumes_reused"]) == (4, 2)
 
     def test_flow_then_cached_rerun(self, tmp_path, capsys):
         args = [

@@ -152,6 +152,32 @@ class TestRatioScan:
         for name in collapse.RatioScan.COLUMNS:
             assert len(scan.column(name)) == 3
 
+    def test_dyadic_scan_reuses_each_half_ball(self, monkeypatch):
+        calls = []
+        volume = collapse.ball_intersection_volume
+
+        def counted(*args):
+            calls.append(args[2])
+            return volume(*args)
+
+        # the scan looks the kernel up by its module name, so wrappers see it
+        monkeypatch.setattr(collapse, "ball_intersection_volume", counted)
+        slab = AnalyticDomain.slab(1.0, dim=2)
+        radii = [4.0 * 2.0**k for k in range(8)]
+        scan = collapse.ratio_scan(slab, [(0.0, 0.0)], radii, budget=10**4, seed=3)
+        assert scan.meta["volumes_evaluated"] == 9 == len(calls)
+        assert scan.meta["volumes_reused"] == 7
+        v_half, v_full = scan.column("V_half"), scan.column("V_full")
+        assert np.array_equal(v_half[1:], v_full[:-1])
+
+    def test_moving_centers_reuse_nothing(self):
+        gr = AnalyticDomain.grim_reaper_2d()
+        radii = [2.0, 4.0, 8.0]
+        centers = [(0.0, r * r) for r in radii]  # the grim_reaper_schedule
+        scan = collapse.ratio_scan(gr, centers, radii, budget=10**4)
+        assert scan.meta["volumes_evaluated"] == 6
+        assert scan.meta["volumes_reused"] == 0
+
     def test_input_validation(self):
         c = PlanarCurve.circle(1.0, 64)
         with pytest.raises(collapse.CollapseError):

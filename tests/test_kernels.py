@@ -11,7 +11,10 @@ held to rounding-level tolerances, and so is the flow step, whose spline
 resample solves for moments where scipy's ``CubicSpline`` solves for
 slopes.  The boundary patches' neighbours, cut from a wider query, must be
 a fresh query's neighbours.  The flow's folded turning guard is the
-oracle's arithmetic on the same edge data, bit for bit.
+oracle's arithmetic on the same edge data, bit for bit.  The edge-vectorized
+clipping kernels are held to their per-edge oracles to 1e-13 relative (1e-15
+absolute near zero), and the blocked Monte Carlo volume to the one-shot one,
+bit for bit.
 """
 
 import numpy as np
@@ -21,8 +24,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import oracles
-from entropylab import conjugate, fem, flow, geometry, harnack, meshing
-from entropylab.geometry import GeometryError, PlanarCurve
+from entropylab import collapse, conjugate, fem, flow, geometry, harnack, meshing
+from entropylab.geometry import AnalyticDomain, GeometryError, PlanarCurve
 from entropylab.meshing import triangulate
 
 
@@ -329,3 +332,77 @@ class TestFlowAgainstOracles:
             y = flow._step(y, seg, dt, nxt, prv)
             z = oracles.flow_step(z, dt)
         assert np.abs(y - z).max() <= 1e-11
+
+
+def _clip_case(rng, m, grid, kind):
+    """A random star polygon's raw vertices, per-vertex weights and a circle
+    (center, r) of the given kind; the vertices may repeat (zero-length edges)."""
+    gaps = rng.uniform(0.2, 1.0, m)
+    th = 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    rad = rng.uniform(0.2, 2.0, m)
+    v = np.column_stack([rad * np.cos(th), rad * np.sin(th)]) + rng.uniform(-3, 3, 2)
+    if grid:
+        v = np.round(v * grid) / grid
+    dup = rng.integers(0, m, rng.integers(0, 3))
+    v = np.insert(v, dup, v[dup], axis=0)
+    beta = rng.uniform(0.0, 3.0, len(v))
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    c = rng.uniform(lo, hi)
+    if kind == "random":
+        r = rng.uniform(0.05, 1.5) * np.linalg.norm(hi - lo)
+    elif kind == "vertex":  # the circle passes through a vertex
+        r = np.linalg.norm(v[rng.integers(len(v))] - c)
+    elif kind == "tangent":  # touches an edge away from its midpoint
+        k = rng.integers(len(v))
+        d = v[(k + 1) % len(v)] - v[k]
+        foot = v[k] + rng.choice([0.2, 0.35, 0.7, 0.85]) * d
+        normal = np.array([-d[1], d[0]]) / max(np.linalg.norm(d), 1e-300)
+        c = foot + rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0]) * normal
+        r = np.linalg.norm(c - foot)
+    elif kind == "outside":  # the center lies outside the polygon
+        c = hi + rng.uniform(0.0, 2.0, 2)
+        r = rng.uniform(0.05, 1.0) * np.linalg.norm(hi - lo) + np.linalg.norm(c - hi)
+    else:  # beyond the circumradius: the disk holds the whole polygon
+        r = np.linalg.norm(v - c, axis=1).max() * rng.uniform(1.0, 3.0)
+    return v, beta, c, max(r, 1e-3)
+
+
+class TestCollapseAgainstOracles:
+    @given(m=st.integers(3, 80), seed=st.integers(0, 2**32 - 1),
+           grid=st.sampled_from([0, 4, 16]),
+           kind=st.sampled_from(["random", "vertex", "tangent", "outside", "beyond"]))
+    @settings(max_examples=300, deadline=None)
+    def test_clipping_kernels(self, m, seed, grid, kind):
+        v, beta, c, r = _clip_case(np.random.default_rng(seed), m, grid, kind)
+        area = collapse._polygon_circle_area(v, c, r)
+        ref = oracles.polygon_circle_area(v, c, r)
+        assert abs(area - ref) <= max(1e-13 * abs(ref), 1e-15)
+        integral = collapse._polyline_boundary_integral(v, beta, c, r)
+        ref = oracles.polyline_boundary_integral(v, beta, c, r)
+        assert abs(integral - ref) <= max(1e-13 * abs(ref), 1e-15)
+
+    @pytest.mark.parametrize("r, area, length", [
+        (1.0, np.pi, 0.0),  # touches each edge at its midpoint only
+        (np.sqrt(2.0), 4.0, 8.0),  # passes through the corners
+        (0.5, np.pi / 4, 0.0),
+    ], ids=["inscribed", "through_corners", "inside"])
+    def test_square_and_its_circles(self, r, area, length):
+        square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        got = collapse._polygon_circle_area(square, (0.0, 0.0), r)
+        assert got == pytest.approx(area, rel=1e-15)
+        got = collapse._polyline_boundary_integral(square, np.ones(4), (0.0, 0.0), r)
+        assert got == pytest.approx(length, rel=1e-15)
+
+    @pytest.mark.parametrize("domain, center, r, budget", [
+        (AnalyticDomain.slab(1.0, dim=2), (0.0, 0.0), 8.0, collapse.DEFAULT_BUDGET),
+        (AnalyticDomain.slab(1.0, dim=2), (0.5, 0.25), 3.0, 5000),
+        (AnalyticDomain.grim_reaper_2d(), (0.0, 4.0), 2.0, 10**5),
+        (AnalyticDomain.ball(1.0, dim=3), (0.3, 0.0, -0.2), 1.5, 10**5),
+        (AnalyticDomain.catenoid_3d(), (1.5, 0.0, 0.0), 1.0, 10**5),
+        (AnalyticDomain.grim_reaper_product(2), (0.0, 0.0, 4.0), 2.0, 10**5),
+    ], ids=["slab", "slab_below_block", "grim_reaper", "ball_3d", "catenoid",
+            "grim_reaper_product_2"])
+    def test_blocked_sampling_is_the_one_shot_count(self, domain, center, r, budget):
+        got = collapse.ball_intersection_volume(domain, center, r, budget, seed=7)
+        assert got == oracles.ball_intersection_volume_mc(domain, center, r, budget, 7)
+        assert got[1] > 0.0
