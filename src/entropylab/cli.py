@@ -118,6 +118,10 @@ class RunConfig:
     def validate(self):
         if self.subcommand not in _PIPELINES:
             raise ValidationError(f"unknown subcommand {self.subcommand!r}")
+        for name in ("tau", "h", "frac", "dt_scale", "a", "tol", "steps_per_tau"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValidationError(f"{name.replace('_', '-')} must be finite")
         if not self.tau > 0:
             raise ValidationError("tau must be positive")
         if not self.h > 0:
@@ -138,6 +142,11 @@ class RunConfig:
             raise ValidationError("steps-per-tau must be positive")
         if self.skip < 0:
             raise ValidationError("skip must be non-negative")
+        if self.subcommand == "harnack" and self.snapshots - self.skip < 3:
+            raise ValidationError("harnack needs snapshots - skip >= 3")
+        if self.fields < 1:
+            raise ValidationError("need at least one field")
+        parse_eps(self.eps)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -205,6 +214,17 @@ def _spec_numbers(spec: str, kind: str, params: str, args: list) -> list:
             raise ValidationError(f"spec {spec!r}: {name} must be positive and finite")
         out.append(v)
     return out
+
+
+def parse_eps(spec: str) -> list:
+    """The --eps list: comma-separated numbers, each finite and positive."""
+    try:
+        eps = [float(e) for e in str(spec).split(",")]
+    except ValueError:
+        eps = []
+    if not eps or not all(0.0 < e < np.inf for e in eps):
+        raise ValidationError(f"eps {spec!r} is not a list of finite positive numbers")
+    return eps
 
 
 def parse_radii(spec: str):
@@ -552,7 +572,7 @@ def _run_logsobolev(cfg: RunConfig, out: str, warnings_: list):
     mesh = meshing.triangulate(curve, cfg.h)
     ops = fem.assemble(mesh)
     consts = functional.log_sobolev_constants(ops, seed=cfg.seed)
-    eps_list = [float(e) for e in cfg.eps.split(",")]
+    eps_list = parse_eps(cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     rows, violations = [], 0
     for i in range(cfg.fields):

@@ -255,12 +255,8 @@ def _boundary_curve_in_time(snaps, i, t0_index):
             return (1.0 - lam) * v_lo + lam * v_hi
 
         return at_linear
-    if i + 1 <= t0_index and i - 1 >= 0:
-        ks = (i + 1, i, i - 1)
-    elif i + 1 > t0_index:
-        ks = (i, i - 1, i - 2)
-    else:  # pragma: no cover - i >= 1 is guaranteed by the caller
-        ks = (i + 2, i + 1, i)
+    # the caller gives 1 <= i <= t0_index
+    ks = (i + 1, i, i - 1) if i < t0_index else (i, i - 1, i - 2)
     ts = [snaps[k].t for k in ks]
     vs = [snaps[k].curve.vertices for k in ks]
 

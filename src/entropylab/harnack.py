@@ -15,6 +15,11 @@ Harnack identity
 with b the Robin weight (the curvature along the flow).  The agreement of
 the two routes and of their sum with the finite-difference entropy rate is
 what the identity gaps measure.
+
+The term functions take arrays (f, u, the curvature and the time
+derivatives along the moving mesh), so closed-form fields can be fed in;
+``rate_identity_check`` derives each snapshot's arrays once and combines
+them with second-order time stencils.
 """
 
 from __future__ import annotations
@@ -197,35 +202,26 @@ def _ddt_stencil(times, i: int, last: int):
     return ks, np.array(w), one_sided
 
 
-def _nodal_w_field(state: BackwardSolveState, snapshot: int):
+def _nodal_w_field(mesh, f, dfdt, vel, tau: float):
     """Nodal W via the evolution form W = -2 tau df/dt + tau |grad f|^2 + f.
 
     Because u solves the conjugate heat equation, 2 lap f - |grad f|^2 =
     -2 df/dt + |grad f|^2 + 2/tau pointwise, which removes all second
-    derivatives from W: the time derivative comes from neighboring snapshots
-    (corrected for the mesh motion) and the gradient from local cubic fits.
+    derivatives from W.  ``dfdt`` is the time derivative of f along the mesh
+    vertices, which move with velocity ``vel``; the gradient that turns it
+    into the fixed-point derivative comes from local cubic fits.
     Differentiating a W assembled from a recovered Laplacian instead is
     hopeless -- its nodal noise does not vanish near the boundary.
+    Returns W and the nearest-vertex query the fits used.
     """
-    snaps = state.trajectory.snapshots
-    times = [s.t for s in snaps]
-    ks, w, one_sided = _ddt_stencil(times, snapshot, state.t0_index)
-    mesh = state.meshes[snapshot]
-    dfdt = np.zeros(mesh.n_vertices)
-    v = np.zeros((mesh.n_vertices, 2))
-    for k, wk in zip(ks, w):
-        dfdt += wk * conjugate.f_from_state(state, k)
-        v += wk * state.meshes[k].vertices
-    f = conjugate.f_from_state(state, snapshot)
     neighbors = cKDTree(mesh.vertices).query(
         mesh.vertices, k=min(PATCH_K, mesh.n_vertices)
     )
     c, R = _poly_fit(mesh, f, mesh.vertices, 3, neighbors=neighbors)
     gf = c[:, 1:3] / R[:, None]
-    dtf = dfdt - np.einsum("ij,ij->i", v, gf)  # fixed-point time derivative
-    tau = snaps[snapshot].tau
+    dtf = dfdt - np.einsum("ij,ij->i", vel, gf)  # fixed-point time derivative
     W = -2.0 * tau * dtf + tau * np.einsum("ij,ij->i", gf, gf) + f
-    return W, one_sided, neighbors
+    return W, neighbors
 
 
 def _boundary_normal_gradient(mesh, W: np.ndarray, neighbors=None) -> np.ndarray:
@@ -245,76 +241,37 @@ def _boundary_normal_gradient(mesh, W: np.ndarray, neighbors=None) -> np.ndarray
     return np.einsum("ij,ij->i", gW, nu)
 
 
-def boundary_term_direct(state: BackwardSolveState, snapshot: int) -> float:
+def boundary_term_direct(ops: fem.FemOperators, f, dfdt, vel, u, tau: float) -> float:
     """-int <grad W, nu> u dS from patch fits of the nodal W field."""
-    ops = state.ops_at(snapshot)
-    W, _, neighbors = _nodal_w_field(state, snapshot)
+    W, neighbors = _nodal_w_field(ops.mesh, f, dfdt, vel, tau)
     dWdnu = _boundary_normal_gradient(ops.mesh, W, neighbors)
-    u = state.u_fields[snapshot]
     nb = ops.mesh.n_boundary
     return -float(ops.boundary_weights[:nb] @ (u[:nb] * dWdnu))
 
 
-def _beta_at(state: BackwardSolveState, snapshot: int) -> np.ndarray:
-    """Curvature of the flow curve at the mesh boundary parameters."""
-    params = state.meshes[state.t0_index].boundary_param
-    kappa = state.trajectory.snapshots[snapshot].curve.curvature()
-    return conjugate.interp_periodic(kappa, params)
-
-
-def boundary_term_harnack(state: BackwardSolveState, snapshot: int):
+def boundary_term_harnack(
+    ops: fem.FemOperators, f, beta, dbeta_dt, vel_b, u, tau: float
+) -> float:
     """2 tau int (db/dt - 2 b_s f_s + kappa f_s^2 - b/2tau) u dS.
 
-    db/dt follows the normal motion of the boundary: the fixed-parameter time
-    derivative of the curvature, corrected by the tangential slide of the
-    parametrization (the snapshots keep uniform arc length, which is not the
-    normal-motion gauge the identity is stated in).  The arc-length
-    derivatives b_s and f_s are the boundary curve's second-order
-    tangential gradients.
+    ``beta`` is the curvature b = kappa at the boundary vertices, and
+    ``dbeta_dt`` and ``vel_b`` are the time derivatives of the curvature and
+    of the boundary point at fixed curve parameter.  db/dt follows the normal
+    motion of the boundary: the fixed-parameter derivative is corrected by the
+    tangential slide ``vel_b . t`` of the parametrization (the snapshots keep
+    uniform arc length, which is not the normal-motion gauge the identity is
+    stated in).  The arc-length derivatives b_s and f_s are the boundary
+    curve's second-order tangential gradients.
     """
-    snaps = state.trajectory.snapshots
-    i = snapshot
-    if state.t0_index < 2:
-        raise HarnackError("need at least three snapshots for db/dt")
-    times = [s.t for s in snaps]
-    ks, wts, one_sided = _ddt_stencil(times, i, state.t0_index)
-    params = state.meshes[state.t0_index].boundary_param
-
-    mesh = state.meshes[i]
-    nb = mesh.n_boundary
-    bc = mesh.boundary_curve()
-    tang = bc.unit_tangent()
-    kappa_mesh = _beta_at(state, i)
-
-    db_dt_param = np.zeros(nb)
-    vel = np.zeros((nb, 2))
-    for k, wk in zip(ks, wts):
-        db_dt_param += wk * conjugate.interp_periodic(snaps[k].curve.curvature(), params)
-        vel += wk * conjugate.interp_periodic(snaps[k].curve.vertices, params)
-    v_tan = np.einsum("ij,ij->i", vel, tang)
-
-    beta = kappa_mesh
+    nb = ops.mesh.n_boundary
+    bc = ops.mesh.boundary_curve()
     db_ds = bc.tangential_gradient(beta)
-    db_dt = db_dt_param - v_tan * db_ds
-
-    f = conjugate.f_from_state(state, i)
+    db_dt = dbeta_dt - np.einsum("ij,ij->i", vel_b, bc.unit_tangent()) * db_ds
     df_ds = bc.tangential_gradient(f[:nb])
-
-    tau = snaps[i].tau
     integrand = 2.0 * tau * (
-        db_dt - 2.0 * db_ds * df_ds + kappa_mesh * df_ds**2 - beta / (2.0 * tau)
+        db_dt - 2.0 * db_ds * df_ds + beta * df_ds**2 - beta / (2.0 * tau)
     )
-    u = state.u_fields[i][:nb]
-    ops = state.ops_at(i)
-    value = float(ops.boundary_weights[:nb] @ (u * integrand))
-    return value, integrand, one_sided
-
-
-def _w_beta_at(state: BackwardSolveState, snapshot: int) -> float:
-    ops = state.ops_at(snapshot)
-    snap = state.trajectory.snapshots[snapshot]
-    f = conjugate.f_from_state(state, snapshot)
-    return functional.w_beta(ops, f, snap.tau, _beta_at(state, snapshot)).w_beta
+    return float(ops.boundary_weights[:nb] @ (u[:nb] * integrand))
 
 
 def rate_identity_check(
@@ -333,7 +290,14 @@ def rate_identity_check(
         raise HarnackError("not enough snapshots outside the compatibility window")
 
     n_W = min(n_eval + 1, state.t0_index + 1)
-    W = [_w_beta_at(state, i) for i in range(n_W)]
+    params = state.meshes[state.t0_index].boundary_param
+    f, beta, xb, W = [], [], [], []
+    for k in range(n_W):
+        f.append(conjugate.f_from_state(state, k))
+        beta.append(conjugate.interp_periodic(snaps[k].curve.curvature(), params))
+        xb.append(conjugate.interp_periodic(snaps[k].curve.vertices, params))
+        W.append(functional.w_beta(state.ops_at(k), f[k], snaps[k].tau, beta[k]).w_beta)
+    xv = [m.vertices for m in state.meshes[:n_W]]
     times = [s.t for s in snaps]
 
     records = []
@@ -343,13 +307,16 @@ def rate_identity_check(
         dW_fd = float(sum(wk * W[k] for k, wk in zip(ks, wts)))
         if one_sided_W:
             warnings_.append(f"one-sided dW/dt at snapshot {i}")
+        ks, wts, one_sided = _ddt_stencil(times, i, state.t0_index)
+        dfdt, vel, dbeta_dt, vel_b = (
+            sum(wk * x[k] for k, wk in zip(ks, wts)) for x in (f, xv, beta, xb)
+        )
         ops = state.ops_at(i)
-        f = conjugate.f_from_state(state, i)
         u = state.u_fields[i]
         tau = snaps[i].tau
-        vol = volume_term(ops, f, u, tau)
-        bdir = boundary_term_direct(state, i)
-        bhar, _, one_sided = boundary_term_harnack(state, i)
+        vol = volume_term(ops, f[i], u, tau)
+        bdir = boundary_term_direct(ops, f[i], dfdt, vel, u, tau)
+        bhar = boundary_term_harnack(ops, f[i], beta[i], dbeta_dt, vel_b, u, tau)
         if one_sided:
             warnings_.append(f"one-sided db/dt at snapshot {i}")
         records.append(

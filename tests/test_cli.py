@@ -21,11 +21,24 @@ class TestConfig:
         "field,value",
         [("tau", 0.0), ("h", -1.0), ("dt_scale", 2.0), ("frac", 0.96),
          ("snapshots", 1), ("budget", 10), ("vertices", 4), ("tol", 0.0),
-         ("steps_per_tau", 0.0), ("skip", -3)],
+         ("steps_per_tau", 0.0), ("skip", -3),
+         # non-finite floats
+         ("tau", np.inf), ("tau", np.nan), ("h", np.inf), ("frac", np.nan),
+         ("dt_scale", np.nan), ("a", np.nan), ("a", np.inf), ("tol", np.inf),
+         ("steps_per_tau", np.inf),
+         # logsobolev counts and eps lists
+         ("fields", 0), ("fields", -3), ("eps", "nan"), ("eps", "-1"),
+         ("eps", "0.1,inf"), ("eps", "0.1,,1"), ("eps", "")],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(cli.ValidationError):
             cli.RunConfig.from_dict({"subcommand": "entropy", field: value})
+
+    @pytest.mark.parametrize("sub,snapshots",
+                             [("harnack", 6), ("flow", 2), ("conjugate", 2)])
+    def test_snapshot_counts_kept(self, sub, snapshots):
+        # harnack evaluates snapshots - skip >= 3; flow and conjugate do not read --skip
+        cli.RunConfig.from_dict({"subcommand": sub, "snapshots": snapshots, "skip": 3})
 
     def test_round_trip(self):
         cfg = cli.RunConfig.from_dict({"subcommand": "flow", "frac": 0.3})
@@ -184,6 +197,20 @@ class TestPipelines:
         ["flow", "--domain", "disk:1", "--a", "0.1"],
         ["conjugate", "--domain", "disk:1", "--a", "0.1"],
         ["harnack", "--domain", "disk:1", "--a", "0.1"],
+        # non-finite floats
+        ["conjugate", "--steps-per-tau", "inf"],
+        ["entropy", "--tau", "inf"],
+        ["entropy", "--tol", "inf"],
+        ["flow", "--a", "nan"],
+        ["flow", "--a", "inf"],
+        # logsobolev counts and eps, checked before any meshing
+        ["logsobolev", "--fields", "0"],
+        ["logsobolev", "--fields", "-3"],
+        ["logsobolev", "--eps", "nan"],
+        ["logsobolev", "--eps", "-1"],
+        ["logsobolev", "--eps", "0.1,x"],
+        # never leaves three snapshots to evaluate
+        ["harnack", "--snapshots", "5", "--skip", "3"],
     ], ids=" ".join)
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
         rc = cli.main(argv + ["--out", str(tmp_path / "runs")])

@@ -83,6 +83,40 @@ class TestVolumeTerm:
         assert hk.volume_term(disk_ops, f, u, TAU) > 1e-3
 
 
+class TestBoundaryTerms:
+    """The boundary terms on the shrinker's closed-form fields.
+
+    On the circle of radius R = sqrt(2 tau), f = |x|^2/4tau + c is constant
+    along the self-similar vertex paths x(t) (velocity -x/2tau), so df/dt = 0
+    there, W is constant and the Harnack integrand vanishes with beta = 1/R
+    and d beta/dt = 1/R^3.
+    """
+
+    R = np.sqrt(2.0 * TAU)
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        ops = fem.assemble(triangulate(PlanarCurve.circle(self.R, 256), 0.06))
+        v = ops.mesh.vertices
+        f = np.sum(v**2, axis=1) / (4.0 * TAU) + 0.3
+        u = np.exp(-f) / (4.0 * np.pi * TAU)
+        return ops, f, u, -v / (2.0 * TAU)
+
+    def test_direct_vanishes(self, fields):
+        ops, f, u, vel = fields
+        assert abs(hk.boundary_term_direct(ops, f, np.zeros_like(f), vel, u, TAU)) < 1e-12
+
+    def test_harnack_vanishes_and_sees_a_wrong_rate(self, fields):
+        ops, f, u, vel = fields
+        nb = ops.mesh.n_boundary
+        beta = np.full(nb, 1.0 / self.R)
+        dbeta_dt = np.full(nb, 1.0 / self.R**3)
+        value = hk.boundary_term_harnack(ops, f, beta, dbeta_dt, vel[:nb], u, TAU)
+        assert abs(value) < 1e-6
+        off = hk.boundary_term_harnack(ops, f, beta, 1.1 * dbeta_dt, vel[:nb], u, TAU)
+        assert abs(off) > 1e-2
+
+
 class TestRateIdentity:
     def test_report_shape_and_meta(self, shrinker_state):
         rep = hk.rate_identity_check(shrinker_state, skip=5)
@@ -114,7 +148,20 @@ class TestRateIdentity:
         )
         state = conjugate.solve_from_minimizer(traj, h=0.05, steps_per_tau=50)
         with pytest.raises(hk.HarnackError):
-            hk.boundary_term_harnack(state, 0)
+            hk.rate_identity_check(state, skip=0)
+
+    def test_each_snapshot_read_once(self, shrinker_state, monkeypatch):
+        calls = []
+        real = conjugate.f_from_state
+
+        def counted(state, k):
+            calls.append(k)
+            return real(state, k)
+
+        monkeypatch.setattr(conjugate, "f_from_state", counted)
+        hk.rate_identity_check(shrinker_state, skip=5)
+        # six evaluated snapshots and the one after them read by the stencils
+        assert calls == list(range(7))
 
 
 class TestStaticGridIdentities:
