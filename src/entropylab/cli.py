@@ -142,6 +142,8 @@ class RunConfig:
             raise ValidationError("steps-per-tau must be positive")
         if self.skip < 0:
             raise ValidationError("skip must be non-negative")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.subcommand == "harnack" and self.snapshots - self.skip < 3:
             raise ValidationError("harnack needs snapshots - skip >= 3")
         if self.fields < 1:

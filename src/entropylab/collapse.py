@@ -38,6 +38,37 @@ class CollapseError(ValueError):
 # -- exact polygon / circle intersection area ----------------------------
 
 
+def _split(x):
+    """Dekker's split: x = hi + lo exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(x, y):
+    """TwoProduct (Dekker 1971): x * y = p + e exactly, barring over/underflow."""
+    p = x * y
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _two_sum(x, y):
+    """TwoSum (Knuth): x + y = s + e exactly."""
+    s = x + y
+    z = s - x
+    return s, (x - (s - z)) + (y - z)
+
+
+def _dot2(x0, y0, x1, y1):
+    """x0*y0 + x1*y1 as hi + lo: hi is the plain rounded sum, and hi + lo is
+    as accurate as twice the working precision (Ogita, Rump, Oishi 2005)."""
+    p0, e0 = _two_product(x0, y0)
+    p1, e1 = _two_product(x1, y1)
+    s, e = _two_sum(p0, p1)
+    return s, e + (e0 + e1)
+
+
 def _circle_crossings(a: np.ndarray, d: np.ndarray, r2: float):
     """Split the m segments a + t d, t in [0, 1], at the circle |x|^2 = r2.
 
@@ -49,11 +80,21 @@ def _circle_crossings(a: np.ndarray, d: np.ndarray, r2: float):
     between crossings lies wholly on one side, and one that only touches
     the circle at its midpoint lies outside the open disk.
     """
-    ad = a[:, 0] * d[:, 0] + a[:, 1] * d[:, 1]
-    dd = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    aa = a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1]
+    # disc = ad*ad - dd*(aa - r2) cancels near a tangency, and so do ad for a
+    # nearly tangent edge and aa - r2 for a vertex near the circle.  Each
+    # term is formed in twice the working precision, so disc errs by about
+    # eps * |disc| + eps**2 * ad**2.  Plain rounding errs by eps * ad**2,
+    # which the square root turns into an error of sqrt(eps) in a crossing.
+    ad, ad_lo = _dot2(a[:, 0], d[:, 0], a[:, 1], d[:, 1])
+    dd, dd_lo = _dot2(d[:, 0], d[:, 0], d[:, 1], d[:, 1])
+    aa, aa_lo = _dot2(a[:, 0], a[:, 0], a[:, 1], a[:, 1])
+    s, s_lo = _two_sum(aa, -r2)
+    s_lo += aa_lo
+    p, p_lo = _two_product(ad, ad)
+    q, q_lo = _two_product(dd, s)
+    disc = (p - q) + ((p_lo - q_lo) + (2.0 * ad * ad_lo - dd * s_lo - dd_lo * s))
+    ad += ad_lo
     edge = dd > 0.0
-    disc = ad * ad - dd * (aa - r2)
     crosses = edge & (disc > 0.0)
     root = np.sqrt(np.where(crosses, disc, 0.0))
     dd_safe = np.where(edge, dd, 1.0)

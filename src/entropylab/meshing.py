@@ -3,9 +3,14 @@
 Deterministic unstructured meshing: the boundary polyline is refined to the
 target edge length, interior points are seeded on a hexagonal lattice,
 relaxed by a few Lloyd-style smoothing sweeps and triangulated with a
-Delaunay kernel.  Boundary vertices keep a map back to the generating curve
-(fractional index along the source polyline) so that fields given per curve
-vertex can be transferred to the mesh boundary.
+Delaunay kernel.  Each attempt calls Qhull once; the later sweeps and the
+final triangulation keep its triangles while a test with margins far past
+its rounding error shows they are still the Delaunay triangulation of the
+moved points, and call Qhull again when it does not.  Triangles are stored in a canonical order, so the mesh
+does not depend on which of the two supplied them.  Boundary vertices keep
+a map back to the generating curve (fractional index along the source
+polyline) so that fields given per curve vertex can be transferred to the
+mesh boundary.
 """
 
 from __future__ import annotations
@@ -55,13 +60,8 @@ class TriMesh:
         return PlanarCurve(self.vertices[: self.n_boundary], check_embedded=False)
 
     def triangle_areas(self) -> np.ndarray:
-        v = self.vertices
-        t = self.triangles
-        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        return 0.5 * (
-            (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-            - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-        )
+        t1, t2 = _orientation_terms(self.vertices, self.triangles)
+        return 0.5 * (t1 - t2)
 
     def area(self) -> float:
         return float(self.triangle_areas().sum())
@@ -93,6 +93,14 @@ class TriMesh:
             d[: self.n_boundary] = 0.0
             self._cache[key] = d
         return self._cache[key]
+
+
+def _orientation_terms(v, t):
+    """The two products whose difference is twice each triangle's signed area."""
+    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]), (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
 
 
 def _triangle_min_angles(v, t):
@@ -156,6 +164,80 @@ def _lost_boundary_edges(simplices, nb: int, n_vertices: int) -> np.ndarray:
     j = (i + 1) % nb
     bkeys = np.minimum(i, j) * n_vertices + np.maximum(i, j)
     return np.flatnonzero(~np.isin(bkeys, keys, assume_unique=True))
+
+
+def _delaunay(pts):
+    """Qhull's Delaunay triangles of ``pts`` in canonical form, and their quads.
+
+    Canonical form: each row is counter-clockwise and starts at its smallest
+    index, and the rows are sorted.  A mesh built on it depends only on the
+    triangle set, so keeping a set that is still Delaunay gives the mesh a
+    fresh Qhull call would give, bit for bit.  Each row (a, b, c, d) of the
+    quads is an interior edge a-b with its triangles (a, b, c) and (b, a, d).
+    They are None when Qhull left a point out, which rules out keeping them.
+    """
+    tris = Delaunay(pts).simplices
+    t1, t2 = _orientation_terms(pts, tris)
+    flip = t1 - t2 < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    first = tris.argmin(axis=1)[:, None]
+    tris = np.take_along_axis(tris, (first + np.arange(3)) % 3, axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
+    if np.bincount(tris.ravel(), minlength=len(pts)).min() == 0:
+        return tris, None
+    e = tris.astype(np.int64)
+    a, b, c = e.ravel(), e[:, [1, 2, 0]].ravel(), e[:, [2, 0, 1]].ravel()
+    key, rev = a * len(pts) + b, b * len(pts) + a
+    order = np.argsort(key)
+    twin = order[np.minimum(np.searchsorted(key, rev, sorter=order), len(key) - 1)]
+    half = (a < b) & (key[twin] == rev)
+    return tris, np.column_stack([a[half], b[half], c[half], c[twin[half]]])
+
+
+def _locally_delaunay(pts, quads) -> np.ndarray:
+    """Per quad (a, b, c, d): d lies strictly outside the circle through a, b, c.
+
+    The incircle determinant is evaluated relative to d and must be below
+    -1e-10 times its permanent, far past its rounding error (about 1.1e-15
+    times the permanent, Shewchuk 1997), so a True holds in exact arithmetic.
+    """
+    x = pts[quads[:, :3]] - pts[quads[:, 3:]]
+    lift = np.einsum("ijk,ijk->ij", x, x)
+    nxt, prv = x[:, [1, 2, 0]], x[:, [2, 0, 1]]
+    p = nxt[..., 0] * prv[..., 1]
+    q = prv[..., 0] * nxt[..., 1]
+    det = np.sum(lift * (p - q), axis=1)
+    return det < -1e-10 * np.sum(lift * (np.abs(p) + np.abs(q)), axis=1)
+
+
+def _still_delaunay(pts, tris, quads, nb: int, bcurve=None) -> bool:
+    """Whether ``tris``, Qhull's triangles for earlier positions, is still the
+    Delaunay triangulation of ``pts``, whose vertices nb.. have moved.
+
+    Lawson (1977): a triangulation whose edges are all locally Delaunay is
+    the Delaunay triangulation.  Every triangle must stay strictly
+    counter-clockwise (1e-12 times its terms, far past rounding), so the
+    triangles still tile the hull, which only fixed vertices span.  Every
+    interior edge with a moving quad vertex must be strictly locally
+    Delaunay.  Quads of boundary vertices alone never moved since Qhull
+    made them.  A near-cocircular one may come back from Qhull with the
+    other diagonal, which changes no moving vertex's neighbours, so it is
+    exempt during the sweeps.  In the final triangulation (``bcurve``
+    given), it forces Qhull when a triangle on either diagonal has its
+    centroid inside the curve.
+    """
+    if quads is None:
+        return False
+    t1, t2 = _orientation_terms(pts, tris)
+    if not np.all(t1 - t2 > 1e-12 * (np.abs(t1) + np.abs(t2))):
+        return False
+    loose = quads[~_locally_delaunay(pts, quads)]
+    if np.any(loose >= nb):
+        return False
+    if bcurve is None or not len(loose):
+        return True
+    triples = pts[loose][:, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]]
+    return not bcurve.contains_points(triples.mean(axis=2).reshape(-1, 2)).any()
 
 
 def refine_boundary(curve: PlanarCurve, h: float):
@@ -247,13 +329,15 @@ def _triangulate_once(
 
     pts = np.vstack([bpts, interior]) if len(interior) else bpts.copy()
 
+    tris = quads = None
     for sweep in range(smoothing_sweeps):
-        tri = Delaunay(pts)
+        if not _still_delaunay(pts, tris, quads, nb):
+            tris, quads = _delaunay(pts)
         if len(pts) == nb:
             break
         # average neighbor position per vertex (Laplacian smoothing)
-        e0 = tri.simplices[:, [0, 1, 2]].ravel()
-        e1 = tri.simplices[:, [1, 2, 0]].ravel()
+        e0 = tris[:, [0, 1, 2]].ravel()
+        e1 = tris[:, [1, 2, 0]].ravel()
         src = np.concatenate([e0, e1])
         nbr = pts[np.concatenate([e1, e0])]
         acc = np.column_stack(
@@ -270,18 +354,9 @@ def _triangulate_once(
         moved[nb:][bad] = pts[nb:][bad]
         pts = moved
 
-    tri = Delaunay(pts)
-    cen = pts[tri.simplices].mean(axis=1)
-    keep = bcurve.contains_points(cen)
-    simplices = tri.simplices[keep]
-
-    # enforce CCW triangle orientation
-    a, b, c = pts[simplices[:, 0]], pts[simplices[:, 1]], pts[simplices[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
-    flip = det < 0
-    simplices[flip] = simplices[flip][:, [0, 2, 1]]
+    if not _still_delaunay(pts, tris, quads, nb, bcurve):
+        tris, quads = _delaunay(pts)
+    simplices = tris[bcurve.contains_points(pts[tris].mean(axis=1))]
 
     mesh = TriMesh(pts, simplices, nb, bparam, h_eff)
 

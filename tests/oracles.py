@@ -11,13 +11,15 @@ is the earlier ``np.roll`` form resampled through scipy's ``CubicSpline``,
 and the turning guard the standalone form the flow loop now folds into its
 own segment data.  The polygon-circle clipping and boundary integral go one
 edge and one piece at a time, with the same arithmetic per piece as the
-edge-vectorized kernels (at a near tangency a crossing's parameter is
-ill-conditioned, so the reference must round alike), and sum their pieces
-exactly.  The Monte Carlo volume draws, scales and tests each replicate's
-points in one piece.
+edge-vectorized kernels, and sum their pieces exactly.  At a near tangency
+a crossing's parameter is ill-conditioned, so the reference forms each
+edge's a.d and discriminant exactly, where the kernels compensate.  The
+Monte Carlo volume draws, scales and tests each replicate's points in one
+piece.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -224,12 +226,14 @@ def _dot(u, v):
 
 def _circle_crossings(a, d, dd, r2):
     """Sorted parameters [0, hits..., 1] of the segment a + t d, t in [0, 1],
-    with the interior hits t where |a + t d|^2 = r^2."""
+    with the interior hits t where |a + t d|^2 = r^2.  a.d and the
+    discriminant are exact rationals in the float inputs, rounded once."""
     ts = [0.0]
-    ad = _dot(a, d)
-    disc = ad * ad - dd * (_dot(a, a) - r2)
-    if disc > 0.0:
-        root = np.sqrt(disc)
+    ax, ay, dx, dy = map(Fraction, (a[0], a[1], d[0], d[1]))
+    ad = ax * dx + ay * dy
+    disc = ad * ad - (dx * dx + dy * dy) * (ax * ax + ay * ay - Fraction(r2))
+    if disc > 0:
+        ad, root = float(ad), np.sqrt(float(disc))
         ts += [t for t in ((-ad - root) / dd, (-ad + root) / dd) if 0.0 < t < 1.0]
     return ts + [1.0]
 

@@ -21,7 +21,7 @@ class TestConfig:
         "field,value",
         [("tau", 0.0), ("h", -1.0), ("dt_scale", 2.0), ("frac", 0.96),
          ("snapshots", 1), ("budget", 10), ("vertices", 4), ("tol", 0.0),
-         ("steps_per_tau", 0.0), ("skip", -3),
+         ("steps_per_tau", 0.0), ("skip", -3), ("seed", -1),
          # non-finite floats
          ("tau", np.inf), ("tau", np.nan), ("h", np.inf), ("frac", np.nan),
          ("dt_scale", np.nan), ("a", np.nan), ("a", np.inf), ("tol", np.inf),
@@ -211,6 +211,9 @@ class TestPipelines:
         ["logsobolev", "--eps", "0.1,x"],
         # never leaves three snapshots to evaluate
         ["harnack", "--snapshots", "5", "--skip", "3"],
+        # a negative seed, rejected before any meshing or sampling
+        ["collapse", "--seed", "-1"],
+        ["logsobolev", "--seed", "-1"],
     ], ids=" ".join)
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
         rc = cli.main(argv + ["--out", str(tmp_path / "runs")])

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,59 @@ from hypothesis import strategies as st
 
 from entropylab import collapse
 from entropylab.geometry import AnalyticDomain, PlanarCurve
+
+
+def _decimal_crossings(a, d, r2):
+    """Per edge a + t d, the crossings (-ad -+ sqrt(disc)) / dd with the circle
+    |x|^2 = r2, from disc = ad*ad - dd*(aa - r2) over the float coordinates
+    in 50 digits; also the scale (|ad| + sqrt(disc)) / dd of their rounding.
+    Rows with disc <= 0 are None."""
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for (ax, ay), (dx, dy) in zip(a.tolist(), d.tolist()):
+            ax, ay, dx, dy = map(Decimal, (ax, ay, dx, dy))
+            ad, dd = ax * dx + ay * dy, dx * dx + dy * dy
+            disc = ad * ad - dd * (ax * ax + ay * ay - Decimal(r2))
+            root = disc.sqrt() if disc > 0 else None
+            rows.append(None if root is None else
+                        (float((-ad - root) / dd), float((-ad + root) / dd),
+                         float((abs(ad) + root) / dd)))
+    return rows
+
+
+def _assert_crossings_match(a, d, r2):
+    t0, t1, live, _ = collapse._circle_crossings(a, d, r2)
+    for k, row in enumerate(_decimal_crossings(a, d, r2)):
+        h1, h2, scale = (-1.0, 2.0, 0.0) if row is None else row
+        # a crossing outside (0, 1) leaves its piece empty, at 0 or at 1
+        want = (h1 if 0.0 < h1 < 1.0 else 0.0, h2 if 0.0 < h2 < 1.0 else 1.0)
+        tol = 8 * np.finfo(float).eps * scale
+        assert abs(t1[k, 0] - want[0]) <= tol and abs(t0[k, 2] - want[1]) <= tol
+
+
+class TestCircleCrossings:
+    # disc cancels near a tangency, and the square root turns its rounding
+    # into an error of sqrt(eps) in the crossings unless disc is compensated
+
+    @given(phi=st.floats(0.0, 2 * np.pi), r=st.floats(0.1, 3.0),
+           length=st.floats(0.01, 2.0), foot=st.floats(0.2, 0.8),
+           digits=st.integers(2, 14))
+    @settings(max_examples=200, deadline=None)
+    def test_near_tangent_chords(self, phi, r, length, foot, digits):
+        normal = np.array([np.cos(phi), np.sin(phi)])
+        d = length * np.array([-normal[1], normal[0]])
+        a = r * (1.0 - 10.0**-digits) * normal - foot * d
+        _assert_crossings_match(a[None, :], d[None, :], r * r)
+
+    def test_ellipse_tangent_at_vertices(self):
+        # r one ulp below the minor semi-axis touches the polygon's vertices
+        # (0, +-0.8) from inside: each edge there crosses at t near 0 or 1
+        a = PlanarCurve.ellipse(1.2, 0.8, 512).vertices
+        d = np.roll(a, -1, axis=0) - a
+        r = np.nextafter(0.8, 0.0)
+        near = np.flatnonzero(np.abs(a[:, 0]) < 0.05)
+        _assert_crossings_match(a[near], d[near], r * r)
 
 
 class TestBallIntersectionPolyline:

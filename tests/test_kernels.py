@@ -3,9 +3,11 @@
 The indexed meshing and geometry kernels only skip (point, segment) pairs
 that cannot matter, and compute every remaining pair with the dense
 arithmetic, so they must agree with the oracles bit for bit, and so must the
-meshes built on them.  The embeddedness sweep skips segment pairs the same
-way but tests crossings without division; it must give the pair oracle's
-answer.  The batched patch fits and the fixed-pattern ALE
+meshes built on them.  Meshing keeps Qhull's triangles while they stay
+Delaunay; its meshes must be those of a Qhull call per sweep, bit for bit,
+with one Qhull call per attempt.  The embeddedness sweep skips segment
+pairs the same way but tests crossings without division; it must give the
+pair oracle's answer.  The batched patch fits and the fixed-pattern ALE
 matrices sum in another order than their einsum/COO oracles, so they are
 held to rounding-level tolerances, and so is the flow step, whose spline
 resample solves for moments where scipy's ``CubicSpline`` solves for
@@ -139,28 +141,96 @@ def _trefoil(m=512):
     return PlanarCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]))
 
 
-@pytest.mark.parametrize(
-    "curve,h",
-    [
-        (PlanarCurve.circle(1.0, 512), 0.05),
-        (PlanarCurve.ellipse(1.2, 0.8, 384), 0.04),
-        (PlanarCurve.rectangle(0.0, 0.0, 2.0, 1.0), 0.05),
-        (_trefoil(), 0.05),
-    ],
-    ids=["disk", "ellipse", "corner_rectangle", "trefoil"],
-)
+ORACLE_MESHES = [
+    (PlanarCurve.circle(1.0, 512), 0.05),
+    (PlanarCurve.ellipse(1.2, 0.8, 384), 0.04),
+    (PlanarCurve.rectangle(0.0, 0.0, 2.0, 1.0), 0.05),
+    (_trefoil(), 0.05),
+]
+ORACLE_IDS = ["disk", "ellipse", "corner_rectangle", "trefoil"]
+
+
+def _assert_same_mesh(fast, ref):
+    assert fast.n_boundary == ref.n_boundary
+    assert fast.h == ref.h
+    for name in ("vertices", "triangles", "boundary_param"):
+        a, b = getattr(fast, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("curve,h", ORACLE_MESHES, ids=ORACLE_IDS)
 def test_triangulate_identical_with_oracles(monkeypatch, curve, h):
     fast = triangulate(curve, h)
     monkeypatch.setattr(meshing, "_points_polyline_distance",
                         oracles.points_polyline_distance_below)
     monkeypatch.setattr(meshing, "_lost_boundary_edges", oracles.lost_boundary_edges)
     monkeypatch.setattr(PlanarCurve, "contains_points", oracles.contains_points)
-    dense = triangulate(curve, h)
-    assert fast.n_boundary == dense.n_boundary
-    assert fast.h == dense.h
-    for name in ("vertices", "triangles", "boundary_param"):
-        a, b = getattr(fast, name), getattr(dense, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    _assert_same_mesh(fast, triangulate(curve, h))
+
+
+@pytest.mark.parametrize(
+    "curve,h",
+    ORACLE_MESHES + [(PlanarCurve.circle(1.0, 512), 0.02)],
+    ids=ORACLE_IDS + ["disk_h0.02"],
+)
+def test_kept_connectivity_is_qhulls(monkeypatch, curve, h):
+    # the smoothing sweeps and the final triangulation keep Qhull's first
+    # triangles while they stay Delaunay: one Qhull call per attempt, and the
+    # mesh of a run that calls Qhull every time, bit for bit
+    calls = {"qhull": 0, "attempts": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(meshing, "Delaunay", counted("qhull", meshing.Delaunay))
+    monkeypatch.setattr(meshing, "_triangulate_once",
+                        counted("attempts", meshing._triangulate_once))
+    kept = triangulate(curve, h)
+    assert calls["qhull"] == calls["attempts"] >= 1
+    monkeypatch.setattr(meshing, "_still_delaunay", lambda *args: False)
+    _assert_same_mesh(kept, triangulate(curve, h))
+
+
+def test_delaunay_check_refuses_an_encroached_edge():
+    # interior points A, B, C, D around the edge A-B, inside a ring of eight
+    # fixed boundary points; nb = 8
+    ring = 3.0 * np.exp(2j * np.pi * np.arange(8) / 8)
+    inner = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.2], [0.0, -1.2]])
+    pts = np.vstack([np.column_stack([ring.real, ring.imag]), inner])
+    tris, quads = meshing._delaunay(pts)
+    assert meshing._still_delaunay(pts, tris, quads, 8)
+    # a repeated point is no vertex of Qhull's triangles: nothing is kept
+    assert meshing._delaunay(np.vstack([pts, pts[8:9]]))[1] is None
+
+    def moved_c(y):
+        p = pts.copy()
+        p[10] = (0.0, y)
+        t1, t2 = meshing._orientation_terms(p, tris)
+        assert np.all(t1 > t2)  # no triangle turns over: only the incircle test refuses
+        return p
+
+    near = moved_c(1.1)  # C stays outside the circle through A, B, D
+    assert meshing._still_delaunay(near, tris, quads, 8)
+    assert np.array_equal(meshing._delaunay(near)[0], tris)
+    inside = moved_c(0.8)  # C enters the circle through A, B, D
+    assert not meshing._still_delaunay(inside, tris, quads, 8)
+    assert not np.array_equal(meshing._delaunay(inside)[0], tris)
+
+
+def test_cocircular_boundary_quad_exempt_only_outside_the_domain():
+    # the square's corners are cocircular: either diagonal is Delaunay.  The
+    # sweeps, which move no boundary vertex, may keep it; the final
+    # triangulation keeps only triangles inside the curve, so there it must
+    # go back to Qhull
+    square = PlanarCurve.rectangle(0.0, 0.0, 1.0, 1.0)
+    pts = square.vertices
+    tris, quads = meshing._delaunay(pts)
+    assert len(quads) == 1
+    assert meshing._still_delaunay(pts, tris, quads, 4)
+    assert not meshing._still_delaunay(pts, tris, quads, 4, square)
 
 
 def _random_mesh(seed):
