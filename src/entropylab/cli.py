@@ -167,27 +167,23 @@ def parse_domain(spec: str, m: int = _CURVE_M):
     kind, *args = str(spec).split(":")
     if kind == "file":
         return geometry.load_domain(_spec_args(spec, kind, "path", args)[0])
-    if kind == "disk":
-        return geometry.PlanarCurve.circle(*_spec_numbers(spec, kind, "R", args), m)
-    if kind == "ellipse":
-        return geometry.PlanarCurve.ellipse(*_spec_numbers(spec, kind, "a:b", args), m)
+    if kind in ("disk", "ellipse"):
+        return _analytic(spec, kind, kind, args).boundary_curve(m)
     if kind == "analytic":
-        variant, *params = args or [""]
-        if variant not in _ANALYTIC_VARIANTS:
-            raise ValidationError(f"unknown analytic variant {variant!r}")
-        params = _spec_numbers(
-            spec, f"analytic:{variant}", _ANALYTIC_VARIANTS[variant], params
-        )
-        return getattr(geometry.AnalyticDomain, variant)(*params)
+        variant, *args = args or [""]
+        return _analytic(spec, f"analytic:{variant}", variant, args)
     raise ValidationError(f"unknown domain spec {spec!r}")
 
 
-# the parameters each analytic variant takes; bracketed ones are optional
-_ANALYTIC_VARIANTS = {
-    "disk": "R", "half_plane": "a", "slab": "d[:dim]", "grim_reaper_2d": "",
-    "grim_reaper_product": "[n]", "catenoid_3d": "", "ball": "R[:dim]",
-    "ellipse": "a:b",
-}
+def _analytic(spec: str, kind: str, variant: str, args: list):
+    """The AnalyticDomain a spec names; AnalyticDomain checks the values."""
+    if variant not in geometry.ANALYTIC_VARIANTS:
+        raise ValidationError(f"unknown analytic variant {variant!r}")
+    _spec_args(spec, kind, geometry.ANALYTIC_VARIANTS[variant], args)
+    try:
+        return getattr(geometry.AnalyticDomain, variant)(*map(float, args))
+    except ValueError as e:  # GeometryError, or a parameter that is not a number
+        raise ValidationError(f"spec {spec!r}: {e}") from None
 
 
 def _spec_args(spec: str, kind: str, params: str, args: list) -> list:
@@ -195,27 +191,9 @@ def _spec_args(spec: str, kind: str, params: str, args: list) -> list:
     the expected form."""
     n = len(re.findall(r"\w+", params))
     if not n - params.count("[") <= len(args) <= n:
-        form = f"{kind}:{params}" if params else kind
+        form = f"{kind}:{params}".replace(":[", "[:").rstrip(":")
         raise ValidationError(f"spec {spec!r} is not of the form {form}")
     return args
-
-
-def _spec_numbers(spec: str, kind: str, params: str, args: list) -> list:
-    """The numeric args of a domain spec, checked: the counts ``dim`` and
-    ``n`` are integers >= 1 and returned as int, the half plane's level is
-    finite, and every other parameter is a size, finite and positive."""
-    out = []
-    for name, text in zip(re.findall(r"\w+", params),
-                          _spec_args(spec, kind, params, args)):
-        v = float(text)
-        if name in ("dim", "n"):
-            if not (v.is_integer() and v >= 1):
-                raise ValidationError(f"spec {spec!r}: {name} must be an integer >= 1")
-            v = int(v)
-        elif not np.isfinite(v) or (v <= 0 and kind != "analytic:half_plane"):
-            raise ValidationError(f"spec {spec!r}: {name} must be positive and finite")
-        out.append(v)
-    return out
 
 
 def parse_eps(spec: str) -> list:
@@ -285,7 +263,14 @@ def _beta_for_mesh(cfg: RunConfig, curve, mesh):
         nu = mesh.boundary_curve().outward_normal()
         return np.einsum("ij,ij->i", xb, nu) / (2.0 * cfg.tau)
     if spec.startswith("file:"):
-        return np.loadtxt(spec[5:])
+        beta = np.loadtxt(spec[5:], ndmin=1)
+        if beta.shape != (mesh.n_boundary,) or not np.isfinite(beta).all():
+            raise ValidationError(
+                f"beta {spec!r} needs {mesh.n_boundary} finite values, one per mesh "
+                f"boundary vertex; it has {beta.size}, "
+                f"{beta.size - np.isfinite(beta).sum()} of them not finite"
+            )
+        return beta
     raise ValidationError(f"unknown beta spec {spec!r}")
 
 
@@ -445,7 +430,10 @@ def _flow_stage(cfg: RunConfig, cache: _Cache, warnings_: list):
     resampled linearly by vertex index.
     """
     curve = _require_curve(parse_domain(cfg.domain, cfg.vertices), cfg.vertices)
-    key = {name: getattr(cfg, name) for name in _FLOW_CHAIN if name != "h"}
+    # keyed by the curve, not the spec text: a file: domain may change on disk
+    key = {name: getattr(cfg, name) for name in _FLOW_CHAIN
+           if name not in ("domain", "h")}
+    key["curve"] = hashlib.sha256(curve.vertices.tobytes()).hexdigest()
 
     def run():
         c = curve

@@ -322,8 +322,6 @@ def boundary_beta_integral(domain, center, r: float, beta_spec) -> float:
             return H * surf
         raise CollapseError("partial sphere cap integral not implemented")
 
-    raise CollapseError(f"no boundary integral for variant {v!r}")
-
 
 # -- ratio scans ---------------------------------------------------------
 

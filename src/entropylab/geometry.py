@@ -9,6 +9,9 @@ sum(kappa_i * ds_i) = 2*pi exactly.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,8 @@ def _as_vertex_array(vertices) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2:
         raise GeometryError("vertices must be an (m, 2) array")
+    if not np.isfinite(v).all():
+        raise GeometryError("vertex coordinates must be finite")
     if v.shape[0] >= 2 and np.allclose(v[0], v[-1]):
         v = v[:-1]
     return v
@@ -272,47 +277,67 @@ def _ragged_arange(counts) -> np.ndarray:
 # -- analytic example domains -------------------------------------------
 
 
+# variant -> the parameters its constructor takes, in spec form (bracketed
+# ones are optional): the one list of the analytic variants.  JSON params
+# use the same names, and disk also takes a center [x, y].
+ANALYTIC_VARIANTS = {
+    "disk": "R", "half_plane": "a", "slab": "d[:dim]", "grim_reaper_2d": "",
+    "grim_reaper_product": "[n]", "catenoid_3d": "", "ball": "R[:dim]",
+    "ellipse": "a:b",
+}
+
+
 @dataclass(frozen=True)
 class AnalyticDomain:
     """Explicit domain with exact membership and boundary curvature data.
 
     Variants: disk(R, center), half_plane(a), slab(d, dim), grim_reaper_2d,
     grim_reaper_product(n), catenoid_3d, ball(R, dim), ellipse(a, b).
-    Positive size parameters are required where applicable.
+    The counts dim and n are integers >= 1, the half plane's level and the
+    disk's center are finite, and every other parameter is a positive,
+    finite size.
     """
 
     variant: str
     params: tuple = ()
 
     def __post_init__(self):
-        sizes = {
-            "disk": 1,
-            "ball": 1,
-            "slab": 1,
-            "ellipse": 2,
-        }
-        n = sizes.get(self.variant)
-        if n is not None:
-            for p in self.params[:n]:
-                if not p > 0:
-                    raise GeometryError(
-                        f"{self.variant} requires positive size parameters"
-                    )
+        form = ANALYTIC_VARIANTS.get(self.variant)
+        if form is None:
+            raise GeometryError(f"unknown analytic variant {self.variant!r}")
+        names = re.findall(r"\w+", form) + ["cx", "cy"] * (self.variant == "disk")
+        if len(self.params) != len(names):
+            raise GeometryError(f"{self.variant} takes {names}, got {self.params!r}")
+        params = []
+        for name, v in zip(names, self.params):
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            x = float(v) if real else math.nan
+            if name in ("dim", "n"):
+                ok, rule = x.is_integer() and x >= 1, "an integer >= 1"
+            elif name in ("cx", "cy") or self.variant == "half_plane":
+                ok, rule = math.isfinite(x), "finite"
+            else:
+                ok, rule = 0.0 < x < math.inf, "positive and finite"
+            if not ok:
+                raise GeometryError(f"{self.variant}: {name} must be {rule}, got {v!r}")
+            params.append(int(v) if name in ("dim", "n") else x)
+        object.__setattr__(self, "params", tuple(params))
 
     # constructors
     @staticmethod
     def disk(R, center=(0.0, 0.0)):
-        return AnalyticDomain("disk", (R, float(center[0]), float(center[1])))
+        """Disk of radius R about center = (cx, cy)."""
+        return AnalyticDomain("disk", (R, *center))
 
     @staticmethod
     def half_plane(a):
         """Half-space x2 < a in the plane."""
-        return AnalyticDomain("half_plane", (float(a),))
+        return AnalyticDomain("half_plane", (a,))
 
     @staticmethod
     def slab(d, dim=2):
         """|x_dim| < d in R^dim (last coordinate bounded)."""
-        return AnalyticDomain("slab", (float(d), int(dim)))
+        return AnalyticDomain("slab", (d, dim))
 
     @staticmethod
     def grim_reaper_2d():
@@ -321,7 +346,7 @@ class AnalyticDomain:
     @staticmethod
     def grim_reaper_product(n=1):
         """R^(n-1) x G in R^(n+1); n = 1 is the planar grim reaper region."""
-        return AnalyticDomain("grim_reaper_product", (int(n),))
+        return AnalyticDomain("grim_reaper_product", (n,))
 
     @staticmethod
     def catenoid_3d():
@@ -329,18 +354,18 @@ class AnalyticDomain:
 
     @staticmethod
     def ball(R, dim=3):
-        return AnalyticDomain("ball", (float(R), int(dim)))
+        return AnalyticDomain("ball", (R, dim))
 
     @staticmethod
     def ellipse(a, b):
-        return AnalyticDomain("ellipse", (float(a), float(b)))
+        return AnalyticDomain("ellipse", (a, b))
 
     @property
     def dim(self) -> int:
         if self.variant in ("ball", "slab"):
-            return int(self.params[1])
+            return self.params[1]
         if self.variant == "grim_reaper_product":
-            return int(self.params[0]) + 1
+            return self.params[0] + 1
         if self.variant == "catenoid_3d":
             return 3
         return 2
@@ -375,7 +400,6 @@ class AnalyticDomain:
             out = np.zeros(len(x), dtype=bool)
             out[inside] = np.abs(x[inside, 2]) <= np.arccosh(rho[inside])
             return out
-        raise GeometryError(f"unknown variant {self.variant!r}")
 
     # boundary data --------------------------------------------------------
 
@@ -401,7 +425,6 @@ class AnalyticDomain:
             return float(
                 a * b / (a**2 * np.sin(th) ** 2 + b**2 * np.cos(th) ** 2) ** 1.5
             )
-        raise GeometryError(f"no boundary curvature for {self.variant!r}")
 
     def boundary_curve(self, m: int) -> PlanarCurve:
         """Sampled boundary polyline for 2D bounded variants."""
@@ -421,7 +444,8 @@ def load_domain(path_or_obj):
     """Load a domain description: polyline curve or analytic variant.
 
     JSON schema: {"type": "polyline", "vertices": [[x, y], ...]} or
-    {"type": "analytic", "variant": "...", "params": {...}}.
+    {"type": "analytic", "variant": "...", "params": {...}}, where params
+    are the keyword arguments of the variant's AnalyticDomain constructor.
     """
     if isinstance(path_or_obj, dict):
         obj = path_or_obj
@@ -432,21 +456,11 @@ def load_domain(path_or_obj):
     if kind == "polyline":
         return PlanarCurve(np.asarray(obj["vertices"], dtype=float))
     if kind == "analytic":
-        variant = obj["variant"]
-        params = obj.get("params", {})
-        ctor = {
-            "disk": lambda: AnalyticDomain.disk(params["R"], params.get("center", (0, 0))),
-            "half_plane": lambda: AnalyticDomain.half_plane(params["a"]),
-            "slab": lambda: AnalyticDomain.slab(params["d"], params.get("dim", 2)),
-            "grim_reaper_2d": AnalyticDomain.grim_reaper_2d,
-            "grim_reaper_product": lambda: AnalyticDomain.grim_reaper_product(
-                params.get("n", 1)
-            ),
-            "catenoid_3d": AnalyticDomain.catenoid_3d,
-            "ball": lambda: AnalyticDomain.ball(params["R"], params.get("dim", 3)),
-            "ellipse": lambda: AnalyticDomain.ellipse(params["a"], params["b"]),
-        }.get(variant)
-        if ctor is None:
+        variant = obj.get("variant")
+        if variant not in ANALYTIC_VARIANTS:
             raise GeometryError(f"unknown analytic variant {variant!r}")
-        return ctor()
+        try:
+            return getattr(AnalyticDomain, variant)(**obj.get("params", {}))
+        except TypeError as e:  # an unknown or missing key
+            raise GeometryError(f"{variant} params: {e}") from None
     raise GeometryError(f"unknown domain type {kind!r}")

@@ -330,7 +330,6 @@ def rate_identity_check(
                 "boundary_term_harnack": bhar,
                 "identity_gap_a": abs(dW_fd - (vol + bdir)),
                 "identity_gap_gradw": abs(bdir - bhar),
-                "conjecture_value": bhar,
                 "one_sided": bool(one_sided_W or one_sided),
             }
         )

@@ -1,10 +1,12 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entropylab import cli
+from entropylab import cli, geometry, meshing
 from entropylab.geometry import AnalyticDomain, PlanarCurve
 
 
@@ -102,6 +104,15 @@ class TestSpecParsers:
             cli.parse_domain("torus:1")
         with pytest.raises(cli.ValidationError):
             cli.parse_domain("analytic:contains")
+
+    def test_readme_names_the_analytic_variants(self):
+        # the README's domain-spec sentence lists the one variant table
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        sentence = re.search(r"`analytic:<variant>\[:params\]` with variants(.*?)"
+                             r"\(bracketed", readme, re.S).group(1)
+        forms = [f"{v}:{p}".replace(":[", "[:").rstrip(":")
+                 for v, p in geometry.ANALYTIC_VARIANTS.items()]
+        assert re.findall(r"`([^`]+)`", sentence) == forms
 
     def test_parse_radii(self):
         assert cli.parse_radii("geometric:4,32") == [4.0, 8.0, 16.0, 32.0]
@@ -222,6 +233,42 @@ class TestPipelines:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("obj", [
+        {"type": "analytic", "variant": "grim_reaper_product", "params": {"n": 0}},
+        {"type": "analytic", "variant": "slab", "params": {"d": 1, "dim": 0}},
+        {"type": "analytic", "variant": "ball", "params": {"R": 1, "dim": 2.5}},
+        {"type": "analytic", "variant": "disk", "params": {"R": 1, "center": [0.5]}},
+        {"type": "analytic", "variant": "slab", "params": {"d": 1, "D": 3}},
+        {"type": "analytic", "variant": "half_plane", "params": {"a": float("inf")}},
+        {"type": "polyline",
+         "vertices": [[np.nan, 0.0]] + PlanarCurve.circle(1.0, 16).vertices[1:].tolist()},
+    ], ids=["n=0", "dim=0", "dim=2.5", "center=[0.5]", "unknown_key",
+            "half_plane_inf", "nan_vertex"])
+    def test_malformed_domain_file_exits_2(self, obj, tmp_path, capsys):
+        # a file: domain goes through the checks of an analytic: spec
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(obj))
+        rc = cli.main(["collapse", "--domain", f"file:{path}", "--radii", "list:1,2",
+                       "--budget", "1000", "--out", str(tmp_path / "runs")])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input for collapse: ") and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_beta_file_needs_one_finite_value_per_boundary_vertex(self, tmp_path, capsys):
+        n = meshing.triangulate(cli.parse_domain("disk:1"), 0.1).n_boundary
+        path = tmp_path / "beta.txt"
+        argv = ["entropy", "--domain", "disk:1", "--h", "0.1", "--beta", f"file:{path}",
+                "--out", str(tmp_path / "runs")]
+        for values in (np.full(n, np.nan), np.ones(n - 1)):
+            np.savetxt(path, values)
+            assert cli.main(argv) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert f"needs {n} finite values" in err and "Traceback" not in err
+            assert not (tmp_path / "runs").exists()
+        np.savetxt(path, np.zeros(n))
+        assert cli.main(argv) == cli.EXIT_OK
+
     def test_collapse_rerun_byte_identical(self, tmp_path, capsys):
         args = [
             "collapse", "--domain", "analytic:slab:1:2",
@@ -249,6 +296,20 @@ class TestPipelines:
         assert cli.main(args) == cli.EXIT_OK
         assert (tmp_path / "f1" / "flow.csv").read_bytes() == first
         assert sorted(os.listdir(cache_dir)) == entries
+
+    def test_flow_cache_follows_the_file(self, tmp_path, capsys):
+        # the same spec text names another curve once the file is rewritten
+        path = tmp_path / "circle.json"
+        args = ["flow", "--domain", f"file:{path}", "--vertices", "64", "--frac", "0.3",
+                "--snapshots", "3", "--out", str(tmp_path), "--tag", "fc"]
+        areas = []
+        for R in (1.0, 2.0):
+            curve = PlanarCurve.circle(R, 64).vertices.tolist()
+            path.write_text(json.dumps({"type": "polyline", "vertices": curve}))
+            assert cli.main(args) == cli.EXIT_OK
+            rows = (tmp_path / "fc" / "flow.csv").read_text().splitlines()
+            areas.append(float(rows[1].split(",")[2]))
+        assert areas[1] == pytest.approx(4.0 * areas[0], rel=1e-12)
 
     def test_cache_misses_after_a_code_change(self, tmp_path, capsys, monkeypatch):
         args = [

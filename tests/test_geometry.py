@@ -152,6 +152,22 @@ class TestAnalyticDomain:
         with pytest.raises(GeometryError):
             AnalyticDomain.ellipse(1.0, 0.0)
 
+    @pytest.mark.parametrize("variant,params", [
+        ("slab", (1.0, 0)), ("slab", (1.0, 2.5)), ("ball", (np.inf, 3)),
+        ("grim_reaper_product", (0,)), ("half_plane", (np.nan,)),
+        ("disk", (1.0, 0.5)), ("disk", (1.0, np.inf, 0.0)), ("slab", ("1", 2)),
+        ("slab", (1.0, True)), ("grim_reaper_2d", (1.0,)), ("torus", ()),
+    ])
+    def test_parameter_rules(self, variant, params):
+        with pytest.raises(GeometryError):
+            AnalyticDomain(variant, params)
+
+    def test_counts_stored_as_int(self):
+        d = AnalyticDomain.slab(1, 3.0)
+        assert d.params == (1.0, 3)
+        assert [type(p) for p in d.params] == [float, int]
+        assert AnalyticDomain.half_plane(-2).params == (-2.0,)
+
     def test_dim(self):
         assert AnalyticDomain.disk(1.0).dim == 2
         assert AnalyticDomain.ball(1.0, 3).dim == 3
