@@ -39,6 +39,7 @@ worst relative residual are kept in ``BackwardSolveState.linear_solve``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,7 @@ from .flow import FlowTrajectory
 THETA = 0.5  # trapezoidal time stepping; see backward_solve
 DEFECT_RTOL = 1e-15  # relative residual at which defect correction stops
 MAX_CORRECTIONS = 12  # corrections with a stale factor before refactoring
+_PATTERN_LOCK = threading.Lock()  # guards BackwardSolveState's lazy pattern
 
 
 class ConjugateError(RuntimeError):
@@ -74,14 +76,22 @@ class BackwardSolveState:
         return range(self.t0_index + 1)
 
     def ops_at(self, i: int) -> fem.FemOperators:
-        """Operators of snapshot i, built on first use on the shared pattern."""
-        if not hasattr(self, "_ops_cache"):
-            mesh = self.meshes[i]
-            self._pattern = fem.P1Pattern(mesh.triangles, mesh.n_vertices)
-            self._ops_cache = {}
-        if i not in self._ops_cache:
-            self._ops_cache[i] = self._pattern.operators(self.meshes[i])
-        return self._ops_cache[i]
+        """Operators of snapshot i, built on first use on the shared pattern.
+
+        Safe to call from several threads: the pattern is built once, under a
+        lock, and is read-only after that.  Operators are assembled outside
+        the lock; if two threads ask for the same snapshot at once, the first
+        result stored is the one kept.
+        """
+        with _PATTERN_LOCK:
+            if not hasattr(self, "_pattern"):
+                mesh = self.meshes[i]
+                self._ops_cache = {}
+                self._pattern = fem.P1Pattern(mesh.triangles, mesh.n_vertices)
+        ops = self._ops_cache.get(i)
+        if ops is None:
+            ops = self._ops_cache.setdefault(i, self._pattern.operators(self.meshes[i]))
+        return ops
 
     def __getstate__(self):
         # the pattern and operators are rebuilt on demand, never pickled

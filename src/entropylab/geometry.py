@@ -311,7 +311,10 @@ class AnalyticDomain:
         params = []
         for name, v in zip(names, self.params):
             real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-            x = float(v) if real else math.nan
+            try:
+                x = float(v) if real else math.nan
+            except OverflowError:  # an integer past the float range
+                raise GeometryError(f"{self.variant}: {name} is too large") from None
             if name in ("dim", "n"):
                 ok, rule = x.is_integer() and x >= 1, "an integer >= 1"
             elif name in ("cx", "cy") or self.variant == "half_plane":
@@ -452,12 +455,14 @@ def load_domain(path_or_obj):
     else:
         with open(path_or_obj) as fh:
             obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise GeometryError(f"a domain is a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "polyline":
         return PlanarCurve(np.asarray(obj["vertices"], dtype=float))
     if kind == "analytic":
         variant = obj.get("variant")
-        if variant not in ANALYTIC_VARIANTS:
+        if not isinstance(variant, str) or variant not in ANALYTIC_VARIANTS:
             raise GeometryError(f"unknown analytic variant {variant!r}")
         try:
             return getattr(AnalyticDomain, variant)(**obj.get("params", {}))

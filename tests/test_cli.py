@@ -242,8 +242,12 @@ class TestPipelines:
         {"type": "analytic", "variant": "half_plane", "params": {"a": float("inf")}},
         {"type": "polyline",
          "vertices": [[np.nan, 0.0]] + PlanarCurve.circle(1.0, 16).vertices[1:].tolist()},
+        [{"type": "analytic", "variant": "ball", "params": {"R": 1}}],
+        {"type": "analytic", "variant": [1], "params": {}},
+        {"type": "analytic", "variant": "ball", "params": {"R": 1, "dim": 10**400}},
     ], ids=["n=0", "dim=0", "dim=2.5", "center=[0.5]", "unknown_key",
-            "half_plane_inf", "nan_vertex"])
+            "half_plane_inf", "nan_vertex", "top_level_list", "variant=[1]",
+            "dim=1e400"])
     def test_malformed_domain_file_exits_2(self, obj, tmp_path, capsys):
         # a file: domain goes through the checks of an analytic: spec
         path = tmp_path / "domain.json"

@@ -1,4 +1,7 @@
 import pickle
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -148,6 +151,33 @@ class TestSnapshotOperators:
             for name in ("M_lumped", "boundary_weights", "grads", "areas"):
                 g, r = getattr(got, name), getattr(ref, name)
                 assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    def test_ops_at_from_threads_builds_one_pattern(self, shrinker_state, monkeypatch):
+        built = []
+
+        class CountedPattern(fem.P1Pattern):
+            def __init__(self, *args):
+                built.append(1)
+                time.sleep(0.01)  # hand the GIL over: a racing caller gets in here
+                super().__init__(*args)
+
+        monkeypatch.setattr(fem, "P1Pattern", CountedPattern)
+        st = pickle.loads(pickle.dumps(shrinker_state))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(st.ops_at, st.snapshot_indices, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        for i, ops in zip(st.snapshot_indices, got):
+            ref = fem.assemble(st.meshes[i])
+            assert ops.mesh is st.meshes[i] and st.ops_at(i) is ops
+            for name in ("K", "M"):
+                g, r = getattr(ops, name), getattr(ref, name)
+                assert abs(g - r).max() <= 1e-13 * abs(r).max()
+            assert np.abs(ops.M_lumped - ref.M_lumped).max() <= 1e-13 * ref.M_lumped.max()
 
     def test_operators_are_not_pickled(self, shrinker_state):
         shrinker_state.ops_at(0)

@@ -1,7 +1,11 @@
+import json
+import pickle
+import time
+
 import numpy as np
 import pytest
 
-from entropylab import conjugate, fem, flow, harnack as hk
+from entropylab import conjugate, fem, flow, functional, harnack as hk
 from entropylab.geometry import PlanarCurve
 from entropylab.meshing import triangulate
 
@@ -59,6 +63,23 @@ class TestPatchFits:
         nb = disk_ops.mesh.n_boundary
         nu = disk_ops.mesh.boundary_curve().outward_normal()
         assert np.abs(g - nu @ a).max() < 1e-8
+
+    @pytest.mark.parametrize("degree, keep", [(3, None), (3, "interior"), (2, None)])
+    def test_blocks_do_not_change_the_fit(self, disk_ops, monkeypatch, degree, keep):
+        # 7-center blocks put block edges mid-array and leave the last one
+        # partial (143 = 20 * 7 + 3); each center's arithmetic is unchanged
+        mesh = disk_ops.mesh
+        v = mesh.vertices
+        f = np.sin(3.0 * v[:, 0]) * np.cos(2.0 * v[:, 1])
+        centers = v[:143]
+        if keep is not None:
+            keep = np.arange(mesh.n_boundary, mesh.n_vertices)
+        monkeypatch.setattr(hk, "FIT_BLOCK", len(centers))
+        c_whole, R_whole = hk._poly_fit(mesh, f, centers, degree, keep=keep)
+        monkeypatch.setattr(hk, "FIT_BLOCK", 7)
+        c_blocked, R_blocked = hk._poly_fit(mesh, f, centers, degree, keep=keep)
+        assert np.array_equal(c_blocked, c_whole)
+        assert np.array_equal(R_blocked, R_whole)
 
     def test_tiny_mesh_rejected(self):
         mesh = triangulate(PlanarCurve.circle(1.0, 24), 0.3)
@@ -162,6 +183,63 @@ class TestRateIdentity:
         hk.rate_identity_check(shrinker_state, skip=5)
         # six evaluated snapshots and the one after them read by the stencils
         assert calls == list(range(7))
+
+
+class TestThreadedEvaluation:
+    """Records do not depend on how many threads evaluate the snapshots."""
+
+    @pytest.fixture(scope="class")
+    def ellipse_state(self):
+        traj = flow.run_flow(PlanarCurve.ellipse(1.2, 0.8, 128), 0.4, 9)
+        return conjugate.solve_from_minimizer(traj, h=0.07, steps_per_tau=100)
+
+    @pytest.mark.parametrize("which, skip", [("shrinker_state", 5), ("ellipse_state", 3)])
+    def test_records_bit_identical_for_1_and_4_threads(
+        self, request, monkeypatch, which, skip
+    ):
+        state = request.getfixturevalue(which)
+        reports = {}
+        for n in (1, 4):
+            monkeypatch.setattr(hk, "_workers", lambda n=n: n)
+            # a fresh copy, so the operators are assembled by the threads too
+            reports[n] = hk.rate_identity_check(pickle.loads(pickle.dumps(state)), skip)
+        one, four = reports[1], reports[4]
+        # JSON float text round-trips, so equal text is equal bits
+        assert json.dumps(four.records) == json.dumps(one.records)
+        assert four.meta["warnings"] == one.meta["warnings"]
+        # and both are in snapshot order: times, warnings, and the terms
+        # of sample snapshots evaluated directly
+        snaps = state.trajectory.snapshots
+        n = len(one.records)
+        assert [r["t"] for r in one.records] == [s.t for s in snaps[:n]]
+        at = [int(w.rsplit(" ", 1)[1]) for w in one.meta["warnings"]]
+        assert at == sorted(at)
+        for i in (0, n // 2, n - 1):
+            ops, u, tau = state.ops_at(i), state.u_fields[i], snaps[i].tau
+            f = conjugate.f_from_state(state, i)
+            beta = conjugate.interp_periodic(
+                snaps[i].curve.curvature(), state.meshes[state.t0_index].boundary_param
+            )
+            assert one.records[i]["W_beta"] == functional.w_beta(ops, f, tau, beta).w_beta
+            assert one.records[i]["volume_term"] == hk.volume_term(ops, f, u, tau)
+
+    def test_first_failing_snapshot_is_reported(self, shrinker_state, monkeypatch):
+        monkeypatch.setattr(hk, "_workers", lambda: 4)
+        real = hk.volume_term
+
+        def failing(ops, f, u, tau):
+            # snapshot 3 fails first, snapshot 2 later: 2 is what a serial
+            # loop would have raised
+            i = next(i for i, m in enumerate(shrinker_state.meshes) if m is ops.mesh)
+            if i == 2:
+                time.sleep(0.05)
+            if i in (2, 3):
+                raise hk.HarnackError(f"snapshot {i}")
+            return real(ops, f, u, tau)
+
+        monkeypatch.setattr(hk, "volume_term", failing)
+        with pytest.raises(hk.HarnackError, match="snapshot 2"):
+            hk.rate_identity_check(shrinker_state, skip=5)
 
 
 class TestStaticGridIdentities:
