@@ -247,6 +247,8 @@ def parse_centers(spec: str, radii, dim: int = 2):
             raise ValidationError(
                 f"centers list needs a multiple of {dim} floats (dimension {dim})"
             )
+        if not np.isfinite(vals).all():
+            raise ValidationError(f"spec {spec!r}: centers must be finite")
         return [tuple(vals[i:i + dim]) for i in range(0, len(vals), dim)]
     raise ValidationError(f"unknown centers spec {spec!r}")
 

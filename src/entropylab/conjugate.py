@@ -39,7 +39,6 @@ worst relative residual are kept in ``BackwardSolveState.linear_solve``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +51,6 @@ from .flow import FlowTrajectory
 THETA = 0.5  # trapezoidal time stepping; see backward_solve
 DEFECT_RTOL = 1e-15  # relative residual at which defect correction stops
 MAX_CORRECTIONS = 12  # corrections with a stale factor before refactoring
-_PATTERN_LOCK = threading.Lock()  # guards BackwardSolveState's lazy pattern
 
 
 class ConjugateError(RuntimeError):
@@ -61,6 +59,13 @@ class ConjugateError(RuntimeError):
 
 @dataclass
 class BackwardSolveState:
+    """The backward solve on one trajectory: plain data, pickled by the stage cache.
+
+    Snapshot i's mesh and u are ``meshes[i]`` and ``u_fields[i]``; the meshes
+    share one connectivity, so consumers that need operators build them on a
+    ``fem.P1Pattern`` of it.
+    """
+
     trajectory: FlowTrajectory
     t0_index: int
     meshes: list  # per snapshot index 0..t0_index, shared connectivity
@@ -70,35 +75,6 @@ class BackwardSolveState:
     warnings: list = field(default_factory=list)
     # substeps, factorizations, corrections, worst_rel_residual
     linear_solve: dict = field(default_factory=dict)
-
-    @property
-    def snapshot_indices(self):
-        return range(self.t0_index + 1)
-
-    def ops_at(self, i: int) -> fem.FemOperators:
-        """Operators of snapshot i, built on first use on the shared pattern.
-
-        Safe to call from several threads: the pattern is built once, under a
-        lock, and is read-only after that.  Operators are assembled outside
-        the lock; if two threads ask for the same snapshot at once, the first
-        result stored is the one kept.
-        """
-        with _PATTERN_LOCK:
-            if not hasattr(self, "_pattern"):
-                mesh = self.meshes[i]
-                self._ops_cache = {}
-                self._pattern = fem.P1Pattern(mesh.triangles, mesh.n_vertices)
-        ops = self._ops_cache.get(i)
-        if ops is None:
-            ops = self._ops_cache.setdefault(i, self._pattern.operators(self.meshes[i]))
-        return ops
-
-    def __getstate__(self):
-        # the pattern and operators are rebuilt on demand, never pickled
-        state = dict(self.__dict__)
-        state.pop("_pattern", None)
-        state.pop("_ops_cache", None)
-        return state
 
     def max_mass_drift(self) -> float:
         masses = np.array([m for _, m in self.conservation_log])
@@ -160,11 +136,8 @@ class _AleAssembler:
         self.tri = mesh.triangles
         self.pattern = fem.P1Pattern(mesh.triangles, mesh.n_vertices)
         self._old = self._geometry(mesh.vertices)
-        self.A = self._matrix(np.zeros(len(self.pattern.indices)))
-        self.B = self._matrix(np.zeros(len(self.pattern.indices)))
-
-    def _matrix(self, data):
-        return self.pattern.matrix(data)
+        self.A = self.pattern.matrix(np.zeros(len(self.pattern.indices)))
+        self.B = self.pattern.matrix(np.zeros(len(self.pattern.indices)))
 
     def _geometry(self, vertices):
         try:

@@ -22,11 +22,14 @@ derivatives along the moving mesh), so closed-form fields can be fed in;
 them with second-order time stencils.
 
 A snapshot's terms read only its own fields and its stencil neighbours'
-arrays, so ``rate_identity_check`` evaluates the snapshots on one thread per
-CPU the process may run on, the calling thread included (numpy's solves and
-products and scipy's k-d tree queries release the GIL).  Results are
-collected in snapshot order, and no snapshot's arithmetic depends on the
-others, so the records are the same bit for bit whatever the thread count.
+arrays, so ``rate_identity_check`` evaluates the snapshots in one pass on one
+thread per CPU the process may run on, the calling thread included (numpy's
+solves and products and scipy's k-d tree queries release the GIL).  Each
+thread builds a snapshot's operators, uses them and drops them before it
+takes the next snapshot, so at most one snapshot's operators per thread are
+alive.  Results are collected in snapshot order, and no snapshot's arithmetic
+depends on the others, so the records are the same bit for bit whatever the
+thread count.
 The patch fits build their design matrices FIT_BLOCK centers at a time: a
 whole snapshot's (centers, coefficients, neighbours) matrix is megabytes,
 and with two snapshots in flight it set the peak memory.
@@ -340,12 +343,14 @@ def rate_identity_check(
     data the third derivatives of f need not be continuous at t0, so the
     boundary quantities there are not trustworthy.
 
-    Both per-snapshot passes -- each snapshot's curvature, boundary points,
-    operators and W_beta, then each record's terms -- run on one thread per
-    CPU (``_map_in_order``) and are collected in snapshot order, so records
-    and warnings are the same bit for bit whatever the number of threads.
-    The patch fits work FIT_BLOCK centers at a time, which bounds the memory
-    of the snapshots in flight together.
+    One pass over the snapshots runs on one thread per CPU
+    (``_map_in_order``): each snapshot's operators are built on the shared
+    connectivity's pattern, used for its W_beta and terms, and dropped, so a
+    thread holds at most one snapshot's operators.  The W time stencils then
+    combine the results in snapshot order, so records and warnings are the
+    same bit for bit whatever the number of threads.  The patch fits work
+    FIT_BLOCK centers at a time, which bounds the memory of the snapshots in
+    flight together.
     """
     snaps = state.trajectory.snapshots
     n_eval = state.t0_index + 1 - max(skip, 0)
@@ -356,36 +361,44 @@ def rate_identity_check(
     params = state.meshes[state.t0_index].boundary_param
     xv = [m.vertices for m in state.meshes[:n_W]]
     times = [s.t for s in snaps]
-    # f is one log per vertex: read in order, before any thread starts
+    # read in snapshot order before any thread starts, so the first
+    # snapshot with a non-positive u is the one reported
     f = [conjugate.f_from_state(state, k) for k in range(n_W)]
+    beta = [conjugate.interp_periodic(s.curve.curvature(), params) for s in snaps[:n_W]]
+    xb = [conjugate.interp_periodic(s.curve.vertices, params) for s in snaps[:n_W]]
+    mesh = state.meshes[0]
+    pattern = fem.P1Pattern(mesh.triangles, mesh.n_vertices)
 
-    def derive(k):
-        beta = conjugate.interp_periodic(snaps[k].curve.curvature(), params)
-        xb = conjugate.interp_periodic(snaps[k].curve.vertices, params)
-        W = functional.w_beta(state.ops_at(k), f[k], snaps[k].tau, beta).w_beta
-        return beta, xb, W
+    def evaluate(k):
+        ops = pattern.operators(state.meshes[k])
+        u, tau = state.u_fields[k], snaps[k].tau
+        W = functional.w_beta(ops, f[k], tau, beta[k]).w_beta
+        if k >= n_eval:
+            return W, None, False
+        ks, wts, one_sided = _ddt_stencil(times, k, state.t0_index)
+        dfdt, vel, dbeta_dt, vel_b = (
+            sum(wj * x[j] for j, wj in zip(ks, wts)) for x in (f, xv, beta, xb)
+        )
+        terms = (
+            volume_term(ops, f[k], u, tau),
+            boundary_term_direct(ops, f[k], dfdt, vel, u, tau),
+            boundary_term_harnack(ops, f[k], beta[k], dbeta_dt, vel_b, u, tau),
+        )
+        return W, terms, one_sided
 
-    def evaluate(i):
-        warnings_ = []
+    W, terms, one_sided_b = zip(*_map_in_order(evaluate, n_W))
+    records, warnings_ = [], []
+    for i in range(n_eval):
         ks, wts, one_sided_W = _ddt_stencil(times, i, n_W - 1)
         dW_fd = float(sum(wk * W[k] for k, wk in zip(ks, wts)))
         if one_sided_W:
             warnings_.append(f"one-sided dW/dt at snapshot {i}")
-        ks, wts, one_sided = _ddt_stencil(times, i, state.t0_index)
-        dfdt, vel, dbeta_dt, vel_b = (
-            sum(wk * x[k] for k, wk in zip(ks, wts)) for x in (f, xv, beta, xb)
-        )
-        ops = state.ops_at(i)
-        u = state.u_fields[i]
-        tau = snaps[i].tau
-        vol = volume_term(ops, f[i], u, tau)
-        bdir = boundary_term_direct(ops, f[i], dfdt, vel, u, tau)
-        bhar = boundary_term_harnack(ops, f[i], beta[i], dbeta_dt, vel_b, u, tau)
-        if one_sided:
+        if one_sided_b[i]:
             warnings_.append(f"one-sided db/dt at snapshot {i}")
-        record = {
+        vol, bdir, bhar = terms[i]
+        records.append({
             "t": snaps[i].t,
-            "tau": tau,
+            "tau": snaps[i].tau,
             "W_beta": W[i],
             "dW_dt_fd": dW_fd,
             "volume_term": vol,
@@ -393,17 +406,12 @@ def rate_identity_check(
             "boundary_term_harnack": bhar,
             "identity_gap_a": abs(dW_fd - (vol + bdir)),
             "identity_gap_gradw": abs(bdir - bhar),
-            "one_sided": bool(one_sided_W or one_sided),
-        }
-        return record, warnings_
-
-    beta, xb, W = zip(*_map_in_order(derive, n_W))
-    records, warnings_ = zip(*_map_in_order(evaluate, n_eval))
+            "one_sided": bool(one_sided_W or one_sided_b[i]),
+        })
     return HarnackReport(
-        list(records),
+        records,
         (n_eval, state.t0_index),
-        meta={"skip": skip, "warnings": [w for ws in warnings_ for w in ws],
-              "h": state.meshes[0].h},
+        meta={"skip": skip, "warnings": warnings_, "h": state.meshes[0].h},
     )
 
 

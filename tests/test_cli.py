@@ -204,6 +204,10 @@ class TestPipelines:
         ["collapse", "--radii", "list:1,nan"],
         ["collapse", "--radii", "list:1,-2"],
         ["collapse", "--radii", "linear:1,2,2.7"],
+        ["collapse", "--domain", "analytic:slab:1", "--centers", "list:nan,0",
+         "--radii", "list:1,2,4"],
+        ["collapse", "--domain", "ellipse:1.2:0.8", "--centers", "list:inf,0",
+         "--radii", "list:1"],
         # a below the curve's T_est = 1/2
         ["flow", "--domain", "disk:1", "--a", "0.1"],
         ["conjugate", "--domain", "disk:1", "--a", "0.1"],

@@ -1,8 +1,3 @@
-import pickle
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -58,7 +53,7 @@ class TestBackwardSolve:
         mesh = st.meshes[i]
         r2 = np.sum(mesh.vertices**2, axis=1)
         u_exact = np.exp(-r2 / (4 * tau)) / (4 * np.pi * tau * (1 - np.exp(-0.5)))
-        ops = st.ops_at(i)
+        ops = fem.assemble(mesh)
         err = np.sqrt(ops.M_lumped @ (st.u_fields[i] - u_exact) ** 2)
         assert err < 5e-3
 
@@ -76,7 +71,7 @@ class TestBackwardSolve:
     def test_mesh_tracks_boundary(self, shrinker_state):
         # boundary vertices of the ALE mesh stay on the shrinking circle
         st = shrinker_state
-        for i in st.snapshot_indices:
+        for i in range(len(st.meshes)):
             R = np.sqrt(1.0 - 2.0 * st.trajectory.snapshots[i].t)
             nb = st.meshes[i].n_boundary
             r = np.linalg.norm(st.meshes[i].vertices[:nb], axis=1)
@@ -139,10 +134,12 @@ class TestReusedFactor:
 
 
 class TestSnapshotOperators:
-    def test_ops_at_matches_assemble(self, shrinker_state):
+    def test_pattern_operators_match_assemble(self, shrinker_state):
         st = shrinker_state
+        mesh = st.meshes[0]
+        pattern = fem.P1Pattern(mesh.triangles, mesh.n_vertices)
         for i in (0, st.t0_index // 2, st.t0_index):
-            got, ref = st.ops_at(i), fem.assemble(st.meshes[i])
+            got, ref = pattern.operators(st.meshes[i]), fem.assemble(st.meshes[i])
             assert got.mesh is st.meshes[i]
             for name in ("K", "M"):
                 g, r = getattr(got, name), getattr(ref, name)
@@ -151,40 +148,6 @@ class TestSnapshotOperators:
             for name in ("M_lumped", "boundary_weights", "grads", "areas"):
                 g, r = getattr(got, name), getattr(ref, name)
                 assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
-
-    def test_ops_at_from_threads_builds_one_pattern(self, shrinker_state, monkeypatch):
-        built = []
-
-        class CountedPattern(fem.P1Pattern):
-            def __init__(self, *args):
-                built.append(1)
-                time.sleep(0.01)  # hand the GIL over: a racing caller gets in here
-                super().__init__(*args)
-
-        monkeypatch.setattr(fem, "P1Pattern", CountedPattern)
-        st = pickle.loads(pickle.dumps(shrinker_state))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                got = list(pool.map(st.ops_at, st.snapshot_indices, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(built) == 1
-        for i, ops in zip(st.snapshot_indices, got):
-            ref = fem.assemble(st.meshes[i])
-            assert ops.mesh is st.meshes[i] and st.ops_at(i) is ops
-            for name in ("K", "M"):
-                g, r = getattr(ops, name), getattr(ref, name)
-                assert abs(g - r).max() <= 1e-13 * abs(r).max()
-            assert np.abs(ops.M_lumped - ref.M_lumped).max() <= 1e-13 * ref.M_lumped.max()
-
-    def test_operators_are_not_pickled(self, shrinker_state):
-        shrinker_state.ops_at(0)
-        clone = pickle.loads(pickle.dumps(shrinker_state))
-        assert not hasattr(clone, "_ops_cache") and not hasattr(clone, "_pattern")
-        assert np.array_equal(clone.ops_at(0).M_lumped, shrinker_state.ops_at(0).M_lumped)
-        assert clone.linear_solve == shrinker_state.linear_solve
 
 
 class TestValidation:

@@ -1,6 +1,8 @@
+import gc
 import json
 import pickle
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -201,8 +203,7 @@ class TestThreadedEvaluation:
         reports = {}
         for n in (1, 4):
             monkeypatch.setattr(hk, "_workers", lambda n=n: n)
-            # a fresh copy, so the operators are assembled by the threads too
-            reports[n] = hk.rate_identity_check(pickle.loads(pickle.dumps(state)), skip)
+            reports[n] = hk.rate_identity_check(state, skip)
         one, four = reports[1], reports[4]
         # JSON float text round-trips, so equal text is equal bits
         assert json.dumps(four.records) == json.dumps(one.records)
@@ -214,14 +215,44 @@ class TestThreadedEvaluation:
         assert [r["t"] for r in one.records] == [s.t for s in snaps[:n]]
         at = [int(w.rsplit(" ", 1)[1]) for w in one.meta["warnings"]]
         assert at == sorted(at)
+        mesh = state.meshes[0]
+        pattern = fem.P1Pattern(mesh.triangles, mesh.n_vertices)
         for i in (0, n // 2, n - 1):
-            ops, u, tau = state.ops_at(i), state.u_fields[i], snaps[i].tau
+            ops = pattern.operators(state.meshes[i])
+            u, tau = state.u_fields[i], snaps[i].tau
             f = conjugate.f_from_state(state, i)
             beta = conjugate.interp_periodic(
                 snaps[i].curve.curvature(), state.meshes[state.t0_index].boundary_param
             )
             assert one.records[i]["W_beta"] == functional.w_beta(ops, f, tau, beta).w_beta
             assert one.records[i]["volume_term"] == hk.volume_term(ops, f, u, tau)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_one_snapshot_of_operators_per_thread(
+        self, shrinker_state, monkeypatch, threads
+    ):
+        # each snapshot's operators are built once, dropped after use, and
+        # never kept on the state
+        state = pickle.loads(pickle.dumps(shrinker_state))
+        keys, pickled = set(vars(state)), pickle.dumps(state)
+        built, live = [], []
+        real = fem.P1Pattern.operators
+
+        def recorded(self, mesh):
+            ops = real(self, mesh)
+            built.append(weakref.ref(ops))
+            live.append(sum(r() is not None for r in built))
+            return ops
+
+        monkeypatch.setattr(fem.P1Pattern, "operators", recorded)
+        monkeypatch.setattr(hk, "_workers", lambda: threads)
+        hk.rate_identity_check(state, skip=5)
+        gc.collect()
+        # six evaluated snapshots and the one after them read by the stencils
+        assert len(built) == 7
+        assert max(live) <= threads
+        assert all(r() is None for r in built)
+        assert set(vars(state)) == keys and pickle.dumps(state) == pickled
 
     def test_first_failing_snapshot_is_reported(self, shrinker_state, monkeypatch):
         monkeypatch.setattr(hk, "_workers", lambda: 4)

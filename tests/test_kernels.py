@@ -286,7 +286,7 @@ class TestNumericKernelsAgainstOracles:
             m_ref = np.asarray(M_n.sum(axis=1)).ravel()
             assert np.abs(mass - m_ref).max() <= 1e-13 * m_ref.max()
             areas, grads = asm._old[:2]
-            C = asm._matrix(asm._convection(areas, grads, w))
+            C = asm.pattern.matrix(asm._convection(areas, grads, w))
             assert abs(C - C_n).max() <= 1e-13 * abs(C_n).max()
             assert np.abs(C.sum(axis=0)).max() <= 1e-13 * abs(C).max()
             verts = new
