@@ -218,7 +218,10 @@ def parse_radii(spec: str):
         lo, hi = _spec_args(spec, kind, "lo,hi", vals)
         if not 0.0 < lo <= hi < np.inf:
             raise ValidationError(f"spec {spec!r} needs 0 < lo <= hi < inf")
-        n = int(round(np.log2(hi / lo))) + 1
+        # lo 2^k while it is <= hi; the relative slack keeps a hi that is
+        # lo 2^k written to fewer digits (thirds to 12 digits: 0.333333333333
+        # and 1.33333333333 are 2^2 apart to 1.5e-12)
+        n = int(np.floor(np.log2(hi / lo * (1.0 + 1e-9)))) + 1
         radii = [lo * 2.0**k for k in range(n)]
     elif kind == "linear":
         lo, hi, n = _spec_args(spec, kind, "lo,hi,n", vals)

@@ -89,26 +89,22 @@ def f_from_state(state: BackwardSolveState, snapshot: int) -> np.ndarray:
     return functional.f_from_u(u, tau)
 
 
-def end_data(
-    trajectory: FlowTrajectory,
-    t0_index: int = -1,
-    h: float = 0.02,
-):
-    """Mesh the t0 domain and take the minimizer with beta = H(t0) as u(t0)."""
-    snaps = trajectory.snapshots
-    t0_index = range(len(snaps))[t0_index]
-    snap = snaps[t0_index]
+def end_data(trajectory: FlowTrajectory, h: float = 0.02):
+    """Mesh the t0 domain and take the minimizer with beta = H(t0) as u(t0).
+
+    t0 is the trajectory's last snapshot.
+    """
+    snap = trajectory.snapshots[-1]
     mesh = meshing.triangulate(snap.curve, h)
-    ops = fem.assemble(mesh)
     kappa = snap.curve.curvature()
     beta = interp_periodic(kappa, mesh.boundary_param)
-    result = minimizer.minimize(ops, snap.tau, beta)
+    result = minimizer.minimize(fem.assemble(mesh), snap.tau, beta)
     if not result.converged:
         raise ConjugateError(
             f"minimizer failed at t0 (residual warnings: {result.warnings})"
         )
     u0 = result.phi**2
-    return mesh, ops, u0, result, t0_index
+    return mesh, u0, result
 
 
 def interp_periodic(values: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -156,13 +152,13 @@ class _AleAssembler:
         ce += grads[:, :, None, 1] * wy[:, None, :]
         return self.pattern.assemble(ce)
 
-    def step(self, new_vertices, w, ds: float, theta: float):
-        """(A, B, lumped new mass) of the theta-scheme from the current mesh."""
+    def step(self, new_vertices, w, ds: float):
+        """(A, B, lumped new mass) of the THETA-scheme from the current mesh."""
         areas_o, grads_o, k_o, m_o = self._old
         new = self._geometry(new_vertices)
         areas_n, grads_n, k_n, m_n = new
-        self.A.data = m_n + theta * ds * (k_n + self._convection(areas_n, grads_n, w))
-        self.B.data = m_o - (1.0 - theta) * ds * (
+        self.A.data = m_n + THETA * ds * (k_n + self._convection(areas_n, grads_n, w))
+        self.B.data = m_o - (1.0 - THETA) * ds * (
             k_o + self._convection(areas_o, grads_o, w)
         )
         self._old = new
@@ -204,11 +200,11 @@ class _ReusedLU:
 
 def _harmonic_extension_solver(ops: fem.FemOperators, nb: int):
     """Interior displacement from boundary displacement via -Delta d = 0."""
-    K = ops.K.tocsc()
+    K = ops.K
     interior = np.arange(nb, K.shape[0])
     K_ii = K[interior][:, interior]
     K_ib = K[interior][:, :nb]
-    solve = spl.factorized(K_ii.tocsc())
+    solve = spl.factorized(K_ii)
 
     def extend(d_boundary):
         d = np.zeros((K.shape[0], 2))
@@ -260,11 +256,10 @@ def backward_solve(
     trajectory: FlowTrajectory,
     mesh0: meshing.TriMesh,
     u_end: np.ndarray,
-    t0_index: int = -1,
     steps_per_tau: float = 250.0,
     end_result=None,
 ) -> BackwardSolveState:
-    """March u from the t0 snapshot back to the first snapshot.
+    """March u from the t0 snapshot, the last one, back to the first snapshot.
 
     Substeps between snapshots are graded proportionally to tau (the time
     error scales with ds/tau for near-shrinker data), with at least one step
@@ -277,17 +272,17 @@ def backward_solve(
     (unobserved) failure mode.
     """
     snaps = trajectory.snapshots
-    t0_index = range(len(snaps))[t0_index]
+    t0_index = len(snaps) - 1
     if t0_index < 1:
-        raise ConjugateError("need at least two snapshots before t0")
-    ops0 = fem.assemble(mesh0)
+        raise ConjugateError("need at least two snapshots")
+    assembler = _AleAssembler(mesh0)
+    ops0 = assembler.pattern.operators(mesh0)
     mass0 = float(ops0.M_lumped @ u_end)
     if abs(mass0 - 1.0) > 1e-6:
         raise ConjugateError(f"end data not normalized: int u = {mass0}")
 
     nb = mesh0.n_boundary
     params = mesh0.boundary_param
-    assembler = _AleAssembler(mesh0)
     solver = _ReusedLU()
     extend = _harmonic_extension_solver(ops0, nb)
 
@@ -315,7 +310,7 @@ def backward_solve(
             disp = extend(b_new - verts[:nb])
             new_verts = verts + disp
             w = disp / ds
-            A, B, m_lumped = assembler.step(new_verts, w, ds, THETA)
+            A, B, m_lumped = assembler.step(new_verts, w, ds)
             u = solver.solve(A, B @ u)
             verts = new_verts
             mass = float(m_lumped @ u)
@@ -341,11 +336,8 @@ def backward_solve(
 def solve_from_minimizer(
     trajectory: FlowTrajectory,
     h: float = 0.02,
-    t0_index: int = -1,
     steps_per_tau: float = 250.0,
 ) -> BackwardSolveState:
     """end_data + backward_solve in one call."""
-    mesh0, _, u0, result, t0_index = end_data(trajectory, t0_index, h)
-    return backward_solve(
-        trajectory, mesh0, u0, t0_index, steps_per_tau, end_result=result
-    )
+    mesh0, u0, result = end_data(trajectory, h)
+    return backward_solve(trajectory, mesh0, u0, steps_per_tau, end_result=result)

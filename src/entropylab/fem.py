@@ -16,16 +16,16 @@ class FemError(RuntimeError):
 
 @dataclass
 class FemOperators:
-    """Sparse P1 operators on a fixed mesh.
+    """Sparse P1 operators on a fixed mesh, built by ``P1Pattern.operators``.
 
-    K is the (negative-Laplacian) stiffness form, M the consistent mass,
-    M_lumped its row-sum diagonal; boundary_weights are lumped arc-length
-    weights (nonzero on boundary vertices only).
+    K is the (negative-Laplacian) stiffness form, M the consistent mass, both
+    CSC; M_lumped is M's row-sum diagonal; boundary_weights are lumped
+    arc-length weights (nonzero on boundary vertices only).
     """
 
     mesh: TriMesh
-    K: sp.csr_matrix | sp.csc_matrix  # CSR from assemble, CSC from P1Pattern
-    M: sp.csr_matrix | sp.csc_matrix
+    K: sp.csc_matrix
+    M: sp.csc_matrix
     M_lumped: np.ndarray
     boundary_weights: np.ndarray
     grads: np.ndarray  # (n_tri, 3, 2) P1 basis gradients per triangle
@@ -59,28 +59,13 @@ def _p1_elements(vertices, triangles):
     return areas, grads, ke, me
 
 
-def assemble(mesh: TriMesh) -> FemOperators:
-    v = mesh.vertices
-    t = mesh.triangles
-    n = mesh.n_vertices
-
-    areas, grads, ke, me = _p1_elements(v, t)
-
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M_lumped = np.asarray(M.sum(axis=1)).ravel()
-    bw = np.pad(mesh.boundary_curve().vertex_weights(), (0, n - mesh.n_boundary))
-    return FemOperators(mesh, K, M, M_lumped, bw, grads, areas)
-
-
 class P1Pattern:
     """CSC sparsity pattern of the P1 matrices on one fixed connectivity.
 
-    ``scatter`` maps each element entry (the 3x3 blocks of ``_p1_elements``,
-    row-major) to its slot in the pattern's data array, so a matrix on moved
-    vertices is one ``bincount`` and no COO -> CSR conversion.
+    The one sparse P1 assembly: ``scatter`` maps each element entry (the 3x3
+    blocks of ``_p1_elements``, row-major) to its slot in the pattern's data
+    array, so a matrix on any vertices of this connectivity is one
+    ``bincount``.
     """
 
     def __init__(self, triangles: np.ndarray, n: int):
@@ -88,9 +73,9 @@ class P1Pattern:
         self.n = n
         # int64: Qhull's int32 indices would overflow col * n + row past 46,340
         tri = triangles.astype(np.int64)
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        keys, self.scatter = np.unique(cols * n + rows, return_inverse=True)
+        # entry (t, i, j) is row tri[t, i], column tri[t, j]
+        keys = (tri[:, None, :] * n + tri[:, :, None]).ravel()
+        keys, self.scatter = np.unique(keys, return_inverse=True)
         # SuperLU takes C int indices; rows sort within each column
         self.indices = (keys % n).astype(np.intc)
         self.indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.intc)
@@ -106,7 +91,7 @@ class P1Pattern:
         return np.bincount(self.indices, data, self.n)
 
     def operators(self, mesh: TriMesh) -> FemOperators:
-        """What ``assemble`` gives for a mesh with this connectivity, in CSC."""
+        """The operators of a mesh with this connectivity."""
         areas, grads, ke, me = _p1_elements(mesh.vertices, self.triangles)
         m = self.assemble(me)
         bw = mesh.boundary_curve().vertex_weights()
@@ -114,6 +99,11 @@ class P1Pattern:
             mesh, self.matrix(self.assemble(ke)), self.matrix(m), self.row_sums(m),
             np.pad(bw, (0, self.n - len(bw))), grads, areas,
         )
+
+
+def assemble(mesh: TriMesh) -> FemOperators:
+    """The P1 operators of a mesh, on a pattern of its own connectivity."""
+    return P1Pattern(mesh.triangles, mesh.n_vertices).operators(mesh)
 
 
 def triangle_gradients(ops: FemOperators, f) -> np.ndarray:

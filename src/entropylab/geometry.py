@@ -449,6 +449,7 @@ def load_domain(path_or_obj):
     JSON schema: {"type": "polyline", "vertices": [[x, y], ...]} or
     {"type": "analytic", "variant": "...", "params": {...}}, where params
     are the keyword arguments of the variant's AnalyticDomain constructor.
+    A clockwise polyline is reversed, keeping its vertex 0 first.
     """
     if isinstance(path_or_obj, dict):
         obj = path_or_obj
@@ -459,7 +460,10 @@ def load_domain(path_or_obj):
         raise GeometryError(f"a domain is a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "polyline":
-        return PlanarCurve(np.asarray(obj["vertices"], dtype=float))
+        curve = PlanarCurve(np.asarray(obj["vertices"], dtype=float))
+        if not curve.ccw:  # the same domain, traversed from the same vertex 0
+            curve = PlanarCurve(np.roll(curve.vertices[::-1], 1, axis=0))
+        return curve
     if kind == "analytic":
         variant = obj.get("variant")
         if not isinstance(variant, str) or variant not in ANALYTIC_VARIANTS:

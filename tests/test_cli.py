@@ -116,6 +116,14 @@ class TestSpecParsers:
 
     def test_parse_radii(self):
         assert cli.parse_radii("geometric:4,32") == [4.0, 8.0, 16.0, 32.0]
+        # up to hi, never past it
+        assert cli.parse_radii("geometric:4,500")[-1] == 256.0
+        assert cli.parse_radii("geometric:1,1.5") == [1.0]
+        assert cli.parse_radii("geometric:2,2") == [2.0]
+        assert cli.parse_radii("geometric:0.3,2.4") == [0.3, 0.6, 1.2, 2.4]
+        # a hi that is lo 2^k to rounding keeps its radius
+        assert len(cli.parse_radii("geometric:0.333333333333,1.33333333333")) == 3
+        assert cli.parse_radii("geometric:4,512") == [4.0 * 2**k for k in range(8)]
         assert cli.parse_radii("linear:1,3,3") == [1.0, 2.0, 3.0]
         assert cli.parse_radii("list:5,7") == [5.0, 7.0]
         with pytest.raises(cli.ValidationError):
@@ -318,6 +326,30 @@ class TestPipelines:
             rows = (tmp_path / "fc" / "flow.csv").read_text().splitlines()
             areas.append(float(rows[1].split(",")[2]))
         assert areas[1] == pytest.approx(4.0 * areas[0], rel=1e-12)
+
+    def test_clockwise_file_is_its_counter_clockwise_twin(self, tmp_path, capsys):
+        ccw = PlanarCurve.circle(1.0, 200).vertices
+        cw = np.roll(ccw[::-1], 1, axis=0)  # the same polygon, clockwise, vertex 0 first
+        outputs = []
+        for name, verts in (("ccw", ccw), ("cw", cw)):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "curve.json"
+            path.write_text(json.dumps({"type": "polyline", "vertices": verts.tolist()}))
+            rc = cli.main(["entropy", "--domain", f"file:{path}", "--h", "0.1",
+                           "--beta", "radial", "--out", str(tmp_path / name), "--tag", "e"])
+            assert rc == cli.EXIT_OK
+            outputs.append((tmp_path / name / "e" / "entropy.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_clockwise_file_runs_the_flow_chain(self, tmp_path, capsys):
+        cw = PlanarCurve.circle(1.0, 200).vertices[::-1]
+        path = tmp_path / "cw.json"
+        path.write_text(json.dumps({"type": "polyline", "vertices": cw.tolist()}))
+        rc = cli.main(["harnack", "--domain", f"file:{path}", "--vertices", "128",
+                       "--frac", "0.3", "--snapshots", "6", "--h", "0.1",
+                       "--steps-per-tau", "50", "--skip", "0",
+                       "--out", str(tmp_path), "--tag", "cw"])
+        assert rc == cli.EXIT_OK
 
     def test_cache_misses_after_a_code_change(self, tmp_path, capsys, monkeypatch):
         args = [
