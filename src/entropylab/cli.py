@@ -150,9 +150,6 @@ class RunConfig:
             raise ValidationError("need at least one field")
         parse_eps(self.eps)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 _CURVE_M = 512  # boundary resolution of disk:/ellipse: outside the flow
 
@@ -689,9 +686,15 @@ def run(cfg: RunConfig) -> RunManifest:
     os.makedirs(out, exist_ok=True)
     warnings_: list = []
     start = time.monotonic()
-    outputs = _PIPELINES[cfg.subcommand][0](cfg, out, warnings_)
+    pipeline, _, names = _PIPELINES[cfg.subcommand]
+    outputs = pipeline(cfg, out, warnings_)
+    if cfg.subcommand == "verify":
+        names = ("suite",) + _SUITE_FLAGS[cfg.suite]
+    # echo only the settings the run read
+    names = ("subcommand",) + names + ("out", "tag")
+    config = {name: getattr(cfg, name) for name in names}
     manifest = RunManifest(
-        config=cfg.to_dict(),
+        config=config,
         versions={
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -699,7 +702,7 @@ def run(cfg: RunConfig) -> RunManifest:
             "entropylab": __version__,
         },
         wall_time_s=time.monotonic() - start,
-        input_hashes={"config": _hash_obj(cfg.to_dict())},
+        input_hashes={"config": _hash_obj(config)},
         outputs=[os.path.relpath(p, out) for p in outputs],
         warnings=warnings_,
     )

@@ -2,14 +2,18 @@
 
 (d/dt + Delta) u = 0 with boundary data grad u . nu = -beta u is solved in
 s = t0 - t, where it becomes the forward heat equation on a growing domain.
-The mesh built on Omega_{t0} is deformed along the trajectory (interior
-motion by harmonic extension of the boundary displacement) and each step
+The mesh built on Omega_{t0} is deformed along the trajectory: each
+snapshot's mesh is the t0 mesh plus the harmonic extension of that snapshot's
+boundary displacement, extended once per snapshot, and a substep's vertices
+are the Lagrange interpolant in time of the snapshot meshes.  Each step
 solves the moving-mesh theta-scheme
 
     (M' + theta ds (K' + C')) u' = (M - (1-theta) ds (K + C)) u,
     C[i,j] = int phi_j (w . grad phi_i)
 
-assembled on the new configuration, with w the discrete mesh velocity.  The
+assembled on the new configuration, with w the discrete mesh velocity
+(new - old) / ds, not the interpolant's time derivative: the discrete
+geometric conservation law (Thomas & Lombard 1979).  The
 boundary flux -(w.nu) u then cancels the boundary-motion term identically,
 so no boundary matrix appears and the total mass 1'Mu is conserved to solver
 precision: 1'K = 0 and the columns of C sum to zero because the basis
@@ -217,39 +221,22 @@ def _harmonic_extension_solver(ops: fem.FemOperators, nb: int):
     return extend
 
 
-def _boundary_curve_in_time(snaps, i, t0_index):
-    """Quadratic-in-time model of the curve vertices on [t_{i-1}, t_i].
+def lagrange_weights(nodes, t):
+    """(w, dw): value and derivative weights at t of the interpolating polynomial.
 
-    Piecewise-linear interpolation between snapshots leaves an O(dt) kink in
-    the boundary velocity that shows up as a spurious boundary layer in u;
-    a three-snapshot Lagrange quadratic makes the velocity second-order.
+    For the polynomial p of degree len(nodes) - 1 with p(nodes[j]) = y_j,
+    p(t) = sum_j w[j] y_j and p'(t) = sum_j dw[j] y_j.  At a node the value
+    weights are exactly 1 and 0.
     """
-    if t0_index < 2:
-        # only two snapshots: fall back to the linear-in-time model
-        t_lo, t_hi = snaps[i - 1].t, snaps[i].t
-        v_lo, v_hi = snaps[i - 1].curve.vertices, snaps[i].curve.vertices
-
-        def at_linear(t):
-            lam = (t - t_lo) / (t_hi - t_lo)
-            return (1.0 - lam) * v_lo + lam * v_hi
-
-        return at_linear
-    # the caller gives 1 <= i <= t0_index
-    ks = (i + 1, i, i - 1) if i < t0_index else (i, i - 1, i - 2)
-    ts = [snaps[k].t for k in ks]
-    vs = [snaps[k].curve.vertices for k in ks]
-
-    def at(t):
-        out = np.zeros_like(vs[0])
-        for j in range(3):
-            lj = 1.0
-            for m in range(3):
-                if m != j:
-                    lj *= (t - ts[m]) / (ts[j] - ts[m])
-            out += lj * vs[j]
-        return out
-
-    return at
+    x = np.asarray(nodes, dtype=float)
+    w, dw = np.empty(len(x)), np.empty(len(x))
+    for j in range(len(x)):
+        others = np.delete(x, j)
+        denom = np.prod(x[j] - others)
+        d = t - others
+        w[j] = np.prod(d) / denom
+        dw[j] = sum(np.prod(np.delete(d, m)) for m in range(len(d))) / denom
+    return w, dw
 
 
 def backward_solve(
@@ -264,12 +251,17 @@ def backward_solve(
     Substeps between snapshots are graded proportionally to tau (the time
     error scales with ds/tau for near-shrinker data), with at least one step
     per snapshot interval and ``steps_per_tau`` steps per unit of log tau
-    overall.  The scheme is trapezoidal (THETA = 1/2), not implicit Euler
-    (theta = 1): that is what makes the boundary-derivative diagnostics
-    downstream converge -- first-order stepping leaves an O(ds) boundary
-    layer in u whose third derivatives do not vanish with h.  Positivity is
-    monitored rather than guaranteed; a clamp plus warning handles the
-    (unobserved) failure mode.
+    overall.  Substep vertices are the Lagrange quadratic in time through the
+    snapshot meshes (i+1, i, i-1), or (i, i-1, i-2) on the t0 interval, and
+    linear when there are only two snapshots: piecewise-linear motion leaves
+    an O(dt) kink in the boundary velocity that shows up as a spurious
+    boundary layer in u.  So ``meshes[k]`` is snapshot k's extended mesh
+    exactly, whatever the substep count.  The scheme is trapezoidal
+    (THETA = 1/2), not implicit Euler (theta = 1): that is what makes the
+    boundary-derivative diagnostics downstream converge -- first-order
+    stepping leaves an O(ds) boundary layer in u whose third derivatives do
+    not vanish with h.  Positivity is monitored rather than guaranteed; a
+    clamp plus warning handles the (unobserved) failure mode.
     """
     snaps = trajectory.snapshots
     t0_index = len(snaps) - 1
@@ -282,9 +274,13 @@ def backward_solve(
         raise ConjugateError(f"end data not normalized: int u = {mass0}")
 
     nb = mesh0.n_boundary
-    params = mesh0.boundary_param
     solver = _ReusedLU()
     extend = _harmonic_extension_solver(ops0, nb)
+    v0, params = mesh0.vertices, mesh0.boundary_param
+    X = [  # each snapshot's mesh; t0's is mesh0 itself
+        v0 + extend(interp_periodic(s.curve.vertices, params) - v0[:nb])
+        for s in snaps[:t0_index]
+    ] + [v0]
 
     meshes = [None] * (t0_index + 1)
     u_fields = [None] * (t0_index + 1)
@@ -293,24 +289,26 @@ def backward_solve(
     log = [(snaps[t0_index].t, mass0)]
     warnings_ = []
 
-    verts = mesh0.vertices.copy()
+    verts = v0
     u = u_end.copy()
 
     for i in range(t0_index, 0, -1):
         t_hi, t_lo = snaps[i].t, snaps[i - 1].t
         tau_hi = snaps[i].tau
         dt_snap = t_hi - t_lo
-        k = max(1, int(np.ceil(steps_per_tau * dt_snap / tau_hi)))
-        sub = np.linspace(t_hi, t_lo, k + 1)
-        curve_at = _boundary_curve_in_time(snaps, i, t0_index)
-        for j in range(1, k + 1):
+        n_sub = max(1, int(np.ceil(steps_per_tau * dt_snap / tau_hi)))
+        sub = np.linspace(t_hi, t_lo, n_sub + 1)
+        if t0_index == 1:
+            ks = (1, 0)  # only two snapshots: linear in time
+        else:
+            ks = (i + 1, i, i - 1) if i < t0_index else (i, i - 1, i - 2)
+        nodes = [snaps[k].t for k in ks]
+        for j in range(1, n_sub + 1):
             t_new = sub[j]
             ds = sub[j - 1] - t_new
-            b_new = interp_periodic(curve_at(t_new), params)
-            disp = extend(b_new - verts[:nb])
-            new_verts = verts + disp
-            w = disp / ds
-            A, B, m_lumped = assembler.step(new_verts, w, ds)
+            w_t, _ = lagrange_weights(nodes, t_new)
+            new_verts = sum(wk * X[k] for wk, k in zip(w_t, ks))
+            A, B, m_lumped = assembler.step(new_verts, (new_verts - verts) / ds, ds)
             u = solver.solve(A, B @ u)
             verts = new_verts
             mass = float(m_lumped @ u)
@@ -318,7 +316,7 @@ def backward_solve(
         if np.any(u <= 0):
             warnings_.append(f"non-positive u reached at snapshot {i - 1}; clamped")
             u = np.maximum(u, 1e-300)
-        mesh_i = mesh0.with_vertices(verts.copy())
+        mesh_i = mesh0.with_vertices(X[i - 1])  # where the last substep ended
         if mesh_i.min_angle_deg() < 10.0:
             warnings_.append(
                 f"mesh quality degraded at snapshot {i - 1} "

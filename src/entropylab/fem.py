@@ -1,4 +1,4 @@
-"""P1 finite element assembly, gradient recovery and interpolation."""
+"""P1 finite element assembly and gradient recovery."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .meshing import TriMesh, _points_polyline_distance
+from .meshing import TriMesh
 
 
 class FemError(RuntimeError):
@@ -126,94 +126,3 @@ def recover_gradient(ops: FemOperators, f) -> np.ndarray:
     if np.any(wsum == 0):
         raise FemError("isolated vertex in gradient recovery")
     return acc / wsum[:, None]
-
-
-def _barycentric(mesh: TriMesh, tri_idx, points):
-    t = mesh.triangles[tri_idx]
-    a = mesh.vertices[t[:, 0]]
-    b = mesh.vertices[t[:, 1]]
-    c = mesh.vertices[t[:, 2]]
-    v0, v1 = b - a, c - a
-    v2 = points - a
-    d00 = np.sum(v0 * v0, axis=1)
-    d01 = np.sum(v0 * v1, axis=1)
-    d11 = np.sum(v1 * v1, axis=1)
-    d20 = np.sum(v2 * v0, axis=1)
-    d21 = np.sum(v2 * v1, axis=1)
-    den = d00 * d11 - d01 * d01
-    w1 = (d11 * d20 - d01 * d21) / den
-    w2 = (d00 * d21 - d01 * d20) / den
-    return np.column_stack([1.0 - w1 - w2, w1, w2])
-
-
-def locate(mesh: TriMesh, points) -> np.ndarray:
-    """Containing triangle per query point (-1 if outside), by walk-free scan."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    from scipy.spatial import cKDTree
-
-    key = "centroid_tree"
-    if key not in mesh._cache:
-        cen = mesh.vertices[mesh.triangles].mean(axis=1)
-        mesh._cache[key] = (cKDTree(cen), cen)
-    tree, _ = mesh._cache[key]
-    kmax = min(32, len(mesh.triangles))
-    _, cand = tree.query(pts, k=kmax)
-    cand = np.atleast_2d(cand)
-    out = np.full(len(pts), -1, dtype=int)
-    pending = np.arange(len(pts))
-    for col in range(cand.shape[1]):
-        if not len(pending):
-            break
-        tri_idx = cand[pending, col]
-        lam = _barycentric(mesh, tri_idx, pts[pending])
-        ok = np.all(lam >= -1e-10, axis=1)
-        out[pending[ok]] = tri_idx[ok]
-        pending = pending[~ok]
-    return out
-
-
-def interpolate(source_ops: FemOperators, f, target_points) -> np.ndarray:
-    """Barycentric interpolation; outside points take the nearest-boundary value.
-
-    Points farther than 2h outside the source domain are rejected.
-    """
-    mesh = source_ops.mesh
-    f = np.asarray(f, dtype=float)
-    pts = np.atleast_2d(np.asarray(target_points, dtype=float))
-    tri_idx = locate(mesh, pts)
-    out = np.empty(len(pts))
-    inside = tri_idx >= 0
-    if inside.any():
-        lam = _barycentric(mesh, tri_idx[inside], pts[inside])
-        out[inside] = np.sum(lam * f[mesh.triangles[tri_idx[inside]]], axis=1)
-    if (~inside).any():
-        q = pts[~inside]
-        bnd = mesh.vertices[: mesh.n_boundary]
-        # exact up to and including 2h, +inf beyond
-        dist = _points_polyline_distance(q, bnd, np.nextafter(2 * mesh.h, np.inf))
-        if np.any(dist > 2 * mesh.h):
-            raise FemError(
-                f"{int(np.sum(dist > 2 * mesh.h))} target point(s) outside "
-                f"the source domain by more than 2h = {2 * mesh.h:.3g}"
-            )
-        out[~inside] = _boundary_projection_values(mesh, f, q)
-    return out
-
-
-def _boundary_projection_values(mesh: TriMesh, f, points):
-    """Value of the P1 boundary trace at the closest boundary point."""
-    nb = mesh.n_boundary
-    p1 = mesh.vertices[:nb]
-    p2 = mesh.vertices[(np.arange(nb) + 1) % nb]
-    d = p2 - p1
-    dd = np.sum(d * d, axis=1)
-    vals = np.empty(len(points))
-    for i, q in enumerate(points):
-        w = q[None, :] - p1
-        t = np.clip(np.einsum("jk,jk->j", w, d) / dd, 0.0, 1.0)
-        proj = p1 + t[:, None] * d
-        dist = np.linalg.norm(q[None, :] - proj, axis=1)
-        j = int(np.argmin(dist))
-        f1, f2 = f[j], f[(j + 1) % nb]
-        vals[i] = (1 - t[j]) * f1 + t[j] * f2
-    return vals

@@ -27,7 +27,9 @@ def _as_vertex_array(vertices) -> np.ndarray:
         raise GeometryError("vertices must be an (m, 2) array")
     if not np.isfinite(v).all():
         raise GeometryError("vertex coordinates must be finite")
-    if v.shape[0] >= 2 and np.allclose(v[0], v[-1]):
+    # only an exact repeat of vertex 0 closes the polygon: a tolerance relative
+    # to the coordinates drops a distinct last vertex far from the origin
+    if v.shape[0] >= 2 and np.array_equal(v[0], v[-1]):
         v = v[:-1]
     return v
 

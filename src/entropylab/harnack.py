@@ -215,13 +215,8 @@ def _ddt_stencil(times, i: int, last: int):
     else:
         ks = [0, 1, 2] if i == 0 else [last - 2, last - 1, last]
         one_sided = True
-    t = [times[k] for k in ks]
-    w = []
-    for j in range(3):
-        others = [m for m in range(3) if m != j]
-        denom = (t[j] - t[others[0]]) * (t[j] - t[others[1]])
-        w.append((2.0 * times[i] - t[others[0]] - t[others[1]]) / denom)
-    return ks, np.array(w), one_sided
+    _, dw = conjugate.lagrange_weights([times[k] for k in ks], times[i])
+    return ks, dw, one_sided
 
 
 def _nodal_w_field(mesh, f, dfdt, vel, tau: float):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestConfig:
 
     def test_round_trip(self):
         cfg = cli.RunConfig.from_dict({"subcommand": "flow", "frac": 0.3})
-        assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert cli.RunConfig.from_dict(asdict(cfg)) == cfg
 
 
 _FLOW_CHAIN = {"domain": "disk:1", "h": 0.02, "frac": 0.5, "snapshots": 21,
@@ -172,8 +173,23 @@ class TestPipelines:
         assert float(payload["mu"]) == pytest.approx(np.log(1 - np.exp(-0.5)), abs=5e-3)
         manifest = json.loads((tmp_path / "t1" / "manifest.json").read_text())
         assert manifest["config"]["subcommand"] == "entropy"
+        # only the settings entropy reads are echoed, and hashed
+        assert set(manifest["config"]) == {
+            "subcommand", "domain", "tau", "h", "beta", "tol", "out", "tag"
+        }
+        assert manifest["input_hashes"]["config"] == cli._hash_obj(manifest["config"])
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "entropylab"}
         assert "entropy.csv" in manifest["outputs"]
+
+    def test_verify_manifest_echoes_the_running_suite(self, tmp_path, monkeypatch, capsys):
+        passing = {"check": {"value": 0.0, "tol": 1.0, "ok": True}}
+        monkeypatch.setattr(cli, "verify_shrinker", lambda **kwargs: passing)
+        argv = ["verify", "--suite", "shrinker", "--out", str(tmp_path), "--tag", "v"]
+        assert cli.main(argv) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+        assert set(manifest["config"]) == {
+            "subcommand", "suite", "h", "steps_per_tau", "out", "tag"
+        }
 
     def test_validation_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -77,6 +77,29 @@ class TestBackwardSolve:
             r = np.linalg.norm(st.meshes[i].vertices[:nb], axis=1)
             assert np.abs(r - R).max() < 1e-3
 
+    def test_meshes_are_extended_snapshots(self, shrinker_state):
+        # snapshot k's mesh is the t0 mesh plus the harmonic extension of
+        # snapshot k's boundary displacement, bit for bit
+        st = shrinker_state
+        mesh0 = st.meshes[-1]
+        nb, v0 = mesh0.n_boundary, mesh0.vertices
+        extend = conjugate._harmonic_extension_solver(fem.assemble(mesh0), nb)
+        for k in range(st.t0_index):
+            b = conjugate.interp_periodic(
+                st.trajectory.snapshots[k].curve.vertices, mesh0.boundary_param
+            )
+            assert np.array_equal(st.meshes[k].vertices, v0 + extend(b - v0[:nb]))
+
+    def test_two_snapshots_linear_in_time(self):
+        traj = flow.analytic_shrinking_disk_trajectory(1.0, [0.0, 0.02], n_vertices=256)
+        st = conjugate.solve_from_minimizer(traj, h=0.05, steps_per_tau=50)
+        assert st.max_mass_drift() <= 1e-14
+        mesh = st.meshes[0]
+        b = conjugate.interp_periodic(
+            traj.snapshots[0].curve.vertices, st.meshes[1].boundary_param
+        )
+        assert np.abs(mesh.vertices[: mesh.n_boundary] - b).max() < 1e-14
+
 
 class TestReusedFactor:
     def test_matches_direct_solve_over_real_substeps(self, shrinker_state, monkeypatch):

@@ -63,27 +63,3 @@ class TestRecovery:
             interior = o.mesh.interior_distance_to_boundary(3 * h) > 2 * h
             errs.append(np.abs(g - exact)[interior].mean())
         assert errs[1] < 0.6 * errs[0]
-
-
-class TestInterpolate:
-    def test_exact_on_p1(self, ops):
-        v = ops.mesh.vertices
-        f = 1.5 * v[:, 0] - 0.5 * v[:, 1]
-        pts = np.array([[0.1, 0.2], [-0.4, 0.3], [0.0, 0.0]])
-        vals = fem.interpolate(ops, f, pts)
-        assert np.allclose(vals, 1.5 * pts[:, 0] - 0.5 * pts[:, 1], atol=1e-12)
-
-    def test_slightly_outside_projected(self, ops):
-        f = np.ones(ops.mesh.n_vertices)
-        vals = fem.interpolate(ops, f, np.array([[1.0 + 0.3 * ops.mesh.h, 0.0]]))
-        assert vals[0] == pytest.approx(1.0)
-
-    def test_far_outside_rejected(self, ops):
-        f = np.ones(ops.mesh.n_vertices)
-        with pytest.raises(fem.FemError):
-            fem.interpolate(ops, f, np.array([[2.0, 0.0]]))
-
-    def test_locate(self, ops):
-        idx = fem.locate(ops.mesh, np.array([[0.0, 0.0], [5.0, 5.0]]))
-        assert idx[0] >= 0
-        assert idx[1] == -1

@@ -98,6 +98,11 @@ class TestTrajectory:
         for s in traj.snapshots:
             assert s.tau == pytest.approx(0.8 - s.t, abs=1e-14)
 
+    def test_vertex_count_kept_far_from_origin(self):
+        # the snapshots' boundary data is indexed by vertex: none may lose one
+        traj = flow.run_flow(PlanarCurve.circle(1.0, 128, center=(2000.0, 2000.0)), 0.9, 5)
+        assert [len(s.curve) for s in traj.snapshots] == [128] * 5
+
 
 class TestAnalyticTrajectory:
     def test_exact_radii_and_areas(self):

@@ -30,6 +30,12 @@ class TestPlanarCurveBasics:
         c = PlanarCurve(closed)
         assert len(c) == 32
 
+    def test_distinct_last_vertex_kept_far_from_origin(self):
+        # the last vertex is within a relative tolerance of the first here,
+        # but it is a distinct vertex
+        c = PlanarCurve.circle(0.2, 512, center=(500.0, 500.0))
+        assert len(c) == 512
+
     def test_rejects_degenerate(self):
         with pytest.raises(GeometryError):
             PlanarCurve(np.array([[0.0, 0.0], [1.0, 0.0]]))

@@ -37,6 +37,20 @@ class TestTimeStencil:
         assert d == pytest.approx(3.0 * times[i] - 0.7, abs=1e-12)
         assert one_sided == (i in (0, len(times) - 1))
 
+    @pytest.mark.parametrize("nodes", [[0.1, 0.25, 0.55], [0.3, 0.0], [0.6, 0.25, 0.3]])
+    def test_lagrange_weights_exact_on_polynomials(self, nodes):
+        # degree len(nodes) - 1: quadratic through three nodes, linear through two
+        nodes = np.array(nodes)
+        coef = [1.5, -0.7, 2.0][3 - len(nodes):]
+        for t in (0.0, 0.2, nodes[1], 0.7):
+            w, dw = conjugate.lagrange_weights(nodes, t)
+            assert w @ np.polyval(coef, nodes) == pytest.approx(np.polyval(coef, t), abs=1e-12)
+            assert dw @ np.polyval(coef, nodes) == pytest.approx(
+                np.polyval(np.polyder(coef), t), abs=1e-12
+            )
+        w, _ = conjugate.lagrange_weights(nodes, nodes[1])
+        assert np.array_equal(w, np.eye(len(nodes))[1])  # exactly 0 and 1 at a node
+
 
 class TestPatchFits:
     def test_cubic_fit_gradient_exact_on_cubics(self, disk_ops):
