@@ -59,6 +59,8 @@ _VALIDATION_ERRORS = (
     ValueError,
     KeyError,
     FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
     geometry.GeometryError,
 )
 
@@ -605,52 +607,95 @@ class AcceptanceFailure(RuntimeError):
     pass
 
 
+def _check(value, tol, ok=None) -> dict:
+    """One suite check; unless ``ok`` is given, it passes when value <= tol."""
+    return {"value": value, "tol": tol, "ok": bool(value <= tol if ok is None else ok)}
+
+
 def verify_shrinker(h=RunConfig.h, steps_per_tau=RunConfig.steps_per_tau) -> dict:
-    """Shrinking-circle equality battery; see tests for the full version."""
+    """Acceptance criterion 1, and criterion 3's mass drift on its solve.
+
+    The shrinking unit circle is the equality case of the entropy formula:
+    along 161 exact snapshots W_beta stays at mu = log(1 - e^{-1/2}), the
+    volume term and both boundary routes vanish, and f at the earliest
+    snapshot is |x|^2/4tau + mu (u-weighted lumped L^2), each within 5e-3.
+    """
     times = np.arange(0.0, 0.4 + 1e-12, 0.0025)
     traj = flow.analytic_shrinking_disk_trajectory(1.0, times)
     state = conjugate.solve_from_minimizer(traj, h=h, steps_per_tau=steps_per_tau)
     report = harnack.rate_identity_check(state)
     W = report.column("W_beta")
-    checks = {
-        "W_constant_along_flow": {"value": float(np.abs(W - W[0]).max()), "tol": 5e-3},
-        "boundary_term_harnack": {
-            "value": float(np.abs(report.column("boundary_term_harnack")).max()),
-            "tol": 5e-3,
-        },
-        "volume_term": {
-            "value": float(np.abs(report.column("volume_term")).max()),
-            "tol": 5e-3,
-        },
-        "mass_drift": {"value": state.max_mass_drift(), "tol": 1e-3},
+    mu = np.log(1.0 - np.exp(-0.5))
+    mesh, u = state.meshes[0], state.u_fields[0]
+    f_exact = np.sum(mesh.vertices**2, axis=1) / (4.0 * traj.snapshots[0].tau) + mu
+    f_diff = conjugate.f_from_state(state, 0) - f_exact
+    values = {
+        "W_constant_along_flow": np.abs(W - W[0]).max(),
+        "W_equals_mu": np.abs(W - mu).max(),
     }
-    for c in checks.values():
-        c["ok"] = bool(c["value"] <= c["tol"])
+    for name in ("boundary_term_harnack", "boundary_term_direct", "volume_term"):
+        values[name] = np.abs(report.column(name)).max()
+    values["f_profile_error"] = np.sqrt(fem.assemble(mesh).M_lumped @ (u * f_diff**2))
+    checks = {name: _check(float(value), 5e-3) for name, value in values.items()}
+    checks["mass_drift"] = _check(state.max_mass_drift(), 1e-3)
     return checks
 
 
-def verify_collapse(budget=RunConfig.budget, seed=RunConfig.seed) -> dict:
-    """Slab, catenoid, grim reaper and shrinking-sphere collapse checks."""
-    slab = geometry.AnalyticDomain.slab(1.0)
-    radii = [4.0 * 2.0**k for k in range(8)]
-    scan = collapse.ratio_scan(slab, [(0.0, 0.0)], radii, budget=budget, seed=seed)
-    r = scan.column("ratio")
-    x = 1.0 / scan.column("r")
-    coef = float((x @ r) / (x @ x))
-    resid = r - coef * x
-    r2_slab = 1.0 - float(resid @ resid) / float((r - r.mean()) @ (r - r.mean()))
+def _origin_fit_r2(x, y) -> float:
+    """R^2 of the least-squares fit y ~ c x through the origin."""
+    resid = y - float((x @ y) / (x @ x)) * x
+    return 1.0 - float(resid @ resid) / float((y - y.mean()) @ (y - y.mean()))
 
-    sphere = collapse.shrinking_sphere_ratio(2, -0.25, 2.0)
+
+def verify_collapse(budget=RunConfig.budget, seed=RunConfig.seed) -> dict:
+    """Acceptance criterion 8: the collapsed model geometries.
+
+    The slab |y| < 1 has V(B_r)/r^2 ~ C/r (R^2 >= 0.99, r = 4..512) and a
+    collapsed trend; the catenoid body V(B_r) ~ C r^2 log(1 + r) (R^2 >= 0.98).
+    Along the grim reaper (centers riding the translator, beta = H) the ratio
+    falls strictly to below 0.05 at r = 256, with H-term <= 1 and c1 < 4.
+    The shrinking sphere's rate constant is c(n) = (n+1)/2 to 1%, n = 1, 2, 3.
+    """
+    slab = collapse.ratio_scan(
+        geometry.AnalyticDomain.slab(1.0), [(0.0, 0.0)],
+        [4.0 * 2.0**k for k in range(8)], budget=budget, seed=seed,
+    )
+    r2_slab = _origin_fit_r2(1.0 / slab.column("r"), slab.column("ratio"))
+
+    cat = collapse.ratio_scan(
+        geometry.AnalyticDomain.catenoid_3d(), [(0.0, 0.0, 0.0)],
+        [4.0, 8.0, 16.0, 32.0, 64.0], budget=budget, seed=seed,
+    )
+    r = cat.column("r")
+    r2_cat = _origin_fit_r2(r**2 * np.log(1.0 + r), cat.column("V_full"))
+
+    radii = [2.0**k for k in range(1, 9)]
+    reaper = collapse.ratio_scan(
+        geometry.AnalyticDomain.grim_reaper_2d(),
+        parse_centers("grim_reaper_schedule", radii), radii,
+        beta_spec="mean_curvature", budget=budget, seed=seed,
+    )
+    col = reaper.column
+    ratios, c1 = col("ratio"), col("c1").max()
+    h_term = (col("r") ** 2 * col("beta_integral") / col("V_half")).max()
+
+    # c(n) = ratio (-s) / r^2 at s = -0.01, r = 2 (B_r contains the sphere)
+    sphere_err = 0.0
+    for n in (1, 2, 3):
+        c = collapse.shrinking_sphere_ratio(n, -0.01, 2.0) * 0.01 / 4.0
+        sphere_err = max(sphere_err, abs(c - (n + 1) / 2.0) / ((n + 1) / 2.0))
+    decreasing = bool(np.all(np.diff(ratios) < 0))
     return {
-        "slab_inverse_r_fit": {"value": r2_slab, "tol": 0.99, "ok": r2_slab >= 0.99},
-        "slab_collapsed_trend": {
-            "value": scan.collapsed_trend, "tol": True,
-            "ok": bool(scan.collapsed_trend),
-        },
-        "shrinking_sphere_c": {
-            "value": sphere, "tol": 24.0,
-            "ok": bool(abs(sphere - 24.0) <= 0.01 * 24.0),
-        },
+        "slab_inverse_r_fit": _check(r2_slab, 0.99, r2_slab >= 0.99),
+        "slab_collapsed_trend": _check(
+            slab.collapsed_trend, True, slab.collapsed_trend
+        ),
+        "catenoid_r2_log_r_fit": _check(r2_cat, 0.98, r2_cat >= 0.98),
+        "grim_reaper_ratio_decreasing": _check(decreasing, True, decreasing),
+        "grim_reaper_ratio_at_256": _check(ratios[-1], 0.05, ratios[-1] < 0.05),
+        "grim_reaper_h_term": _check(h_term, 1.0),
+        "grim_reaper_c1": _check(c1, 4.0, c1 < 4.0),
+        "shrinking_sphere_c_rel_err": _check(sphere_err, 0.01),
     }
 
 

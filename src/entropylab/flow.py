@@ -54,10 +54,6 @@ class FlowTrajectory:
     truncated: bool = False
     meta: dict = field(default_factory=dict)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
     def to_records(self):
         return [
             {

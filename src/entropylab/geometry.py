@@ -123,16 +123,6 @@ class PlanarCurve:
     def arc_length(self) -> float:
         return float(self.edge_lengths().sum())
 
-    def centroid(self) -> np.ndarray:
-        # area centroid of the enclosed polygon
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        a = 0.5 * cross.sum()
-        cx = np.sum((v[:, 0] + w[:, 0]) * cross) / (6.0 * a)
-        cy = np.sum((v[:, 1] + w[:, 1]) * cross) / (6.0 * a)
-        return np.array([cx, cy])
-
     def is_embedded(self) -> bool:
         """True if no two non-adjacent edges cross."""
         return _is_embedded(self.vertices)

@@ -15,7 +15,7 @@ mesh boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -45,7 +45,6 @@ class TriMesh:
     n_boundary: int
     boundary_param: np.ndarray
     h: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         areas = self.triangle_areas()
@@ -85,14 +84,11 @@ class TriMesh:
         Exact where it is below ``cutoff`` and +inf elsewhere, so it answers
         ``distance >= c`` exactly for every c <= cutoff.
         """
-        key = ("bdist", float(cutoff))
-        if key not in self._cache:
-            d = _points_polyline_distance(
-                self.vertices, self.vertices[: self.n_boundary], cutoff
-            )
-            d[: self.n_boundary] = 0.0
-            self._cache[key] = d
-        return self._cache[key]
+        d = _points_polyline_distance(
+            self.vertices, self.vertices[: self.n_boundary], cutoff
+        )
+        d[: self.n_boundary] = 0.0
+        return d
 
 
 def _orientation_terms(v, t):

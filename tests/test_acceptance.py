@@ -2,6 +2,8 @@
 
 Each test prints one [PASS]/[FAIL] line with the measured numbers before
 asserting, so a full run gives a one-page summary of every criterion.
+Criteria 1 and 8 are the ``verify --suite shrinker`` and ``--suite collapse``
+batteries of ``entropylab.cli``; their tests report and assert them.
 """
 
 import numpy as np
@@ -9,7 +11,6 @@ import pytest
 
 from entropylab import (
     cli,
-    collapse,
     conjugate,
     fem,
     flow,
@@ -17,7 +18,7 @@ from entropylab import (
     harnack,
     minimizer as mz,
 )
-from entropylab.geometry import AnalyticDomain, PlanarCurve
+from entropylab.geometry import PlanarCurve
 from entropylab.meshing import triangulate
 
 TAU = 0.5
@@ -32,11 +33,9 @@ def _report(name: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def battery_state():
-    # backward solve on the exact shrinking circle, dense snapshots
-    times = np.arange(0.0, 0.4 + 1e-12, 0.0025)
-    traj = flow.analytic_shrinking_disk_trajectory(1.0, times)
-    return conjugate.solve_from_minimizer(traj, h=0.02, steps_per_tau=500)
+def shrinker_checks():
+    # criterion 1's battery at h = 0.02, 500 steps per unit tau
+    return cli.verify_shrinker()
 
 
 @pytest.fixture(scope="module")
@@ -93,29 +92,15 @@ def large_min(large_ops):
 # -- criteria ----------------------------------------------------------------
 
 
-def test_01_shrinker_equality_battery(battery_state):
-    st = battery_state
-    rep = harnack.rate_identity_check(st)
-    W = rep.column("W_beta")
-    w_const = float(np.abs(W - MU_DISK).max())
-    bhar = float(np.abs(rep.column("boundary_term_harnack")).max())
-    bdir = float(np.abs(rep.column("boundary_term_direct")).max())
-    vol = float(np.abs(rep.column("volume_term")).max())
-    # profile check at the earliest snapshot (farthest from the end data)
-    mesh = st.meshes[0]
-    tau0 = st.trajectory.snapshots[0].tau
-    f_num = conjugate.f_from_state(st, 0)
-    f_ex = np.sum(mesh.vertices**2, axis=1) / (4.0 * tau0) + MU_DISK
-    u = st.u_fields[0]
-    ops0 = fem.assemble(mesh)
-    f_err = float(np.sqrt(ops0.M_lumped @ (u * (f_num - f_ex) ** 2)))
-    ok = w_const <= 5e-3 and bhar <= 5e-3 and bdir <= 5e-3 and vol <= 5e-3 \
-        and f_err <= 5e-3
+def test_01_shrinker_equality_battery(shrinker_checks):
+    c = {name: check["value"] for name, check in shrinker_checks.items()}
+    ok = all(check["ok"] for check in shrinker_checks.values())
     _report(
         "criterion 1 (shrinking-disk equalities)",
         ok,
-        f"|W-mu|={w_const:.2e} bhar={bhar:.2e} bdir={bdir:.2e} "
-        f"vol={vol:.2e} f_err={f_err:.2e} (tol 5e-3)",
+        f"|W-mu|={c['W_equals_mu']:.2e} bhar={c['boundary_term_harnack']:.2e} "
+        f"bdir={c['boundary_term_direct']:.2e} vol={c['volume_term']:.2e} "
+        f"f_err={c['f_profile_error']:.2e} (tol 5e-3)",
     )
     assert ok
 
@@ -140,8 +125,8 @@ def test_02_identity_gaps_shrink_under_refinement(ellipse_reports):
     assert ok
 
 
-def test_03_mass_conservation(battery_state, ellipse_states):
-    drifts = [battery_state.max_mass_drift()] + [
+def test_03_mass_conservation(shrinker_checks, ellipse_states):
+    drifts = [shrinker_checks["mass_drift"]["value"]] + [
         s.max_mass_drift() for s in ellipse_states
     ]
     worst = max(drifts)
@@ -234,65 +219,18 @@ def test_07_scaling_invariance(disk_ops):
     assert ok
 
 
-def _r_squared(y, pred):
-    resid = y - pred
-    return 1.0 - float(resid @ resid) / float((y - y.mean()) @ (y - y.mean()))
-
-
 def test_08_collapsed_examples():
-    # slab: V(B_r n slab)/r^2 ~ C/r
-    slab = AnalyticDomain.slab(1.0)
-    radii = [4.0 * 2.0**k for k in range(8)]
-    scan = collapse.ratio_scan(slab, [(0.0, 0.0)], radii)
-    r = scan.column("r")
-    y = scan.column("ratio")
-    x = 1.0 / r
-    coef = float((x @ y) / (x @ x))
-    r2_slab = _r_squared(y, coef * x)
-
-    # catenoid body: V(B_r) ~ C r^2 log(1 + r)
-    cat = AnalyticDomain.catenoid_3d()
-    radii_c = [4.0, 8.0, 16.0, 32.0, 64.0]
-    scan_c = collapse.ratio_scan(cat, [(0.0, 0.0, 0.0)], radii_c)
-    rc = scan_c.column("r")
-    vc = scan_c.column("V_full")
-    pc = rc**2 * np.log(1.0 + rc)
-    coef_c = float((pc @ vc) / (pc @ pc))
-    r2_cat = _r_squared(vc, coef_c * pc)
-
-    # grim reaper: ratio decays with centers riding the translator
-    gr = AnalyticDomain.grim_reaper_2d()
-    radii_g = [2.0**k for k in range(1, 9)]
-    centers = [(0.0, r_ * r_) for r_ in radii_g]
-    scan_g = collapse.ratio_scan(gr, centers, radii_g, beta_spec="mean_curvature")
-    ratios_g = scan_g.column("ratio")
-    hterm = (
-        scan_g.column("r") ** 2 * scan_g.column("beta_integral")
-        / scan_g.column("V_half")
-    )
-    c1_max = float(scan_g.column("c1").max())
-    gr_ok = (
-        np.all(np.diff(ratios_g) < 0)
-        and ratios_g[-1] < 0.05
-        and hterm.max() <= 1.0
-        and c1_max < 4.0
-    )
-
-    # shrinking spheres: rate constant c(n) = (n+1)/2 within 1%
-    sph_ok = True
-    for n in (1, 2, 3):
-        s, r_ = -0.01, 2.0
-        val = collapse.shrinking_sphere_ratio(n, s, r_)
-        cn = val * (-s) / r_**2
-        sph_ok = sph_ok and abs(cn - (n + 1) / 2.0) <= 0.01 * (n + 1) / 2.0
-
-    ok = r2_slab >= 0.99 and r2_cat >= 0.98 and gr_ok and sph_ok
+    checks = cli.verify_collapse()
+    c = {name: check["value"] for name, check in checks.items()}
+    ok = all(check["ok"] for check in checks.values())
     _report(
         "criterion 8 (collapsed model geometries)",
         ok,
-        f"slab R^2={r2_slab:.5f} (>=0.99), catenoid R^2={r2_cat:.5f} (>=0.98), "
-        f"grim reaper ratio@256={ratios_g[-1]:.4f} (<0.05, H-term<= "
-        f"{hterm.max():.3f}), sphere c(n) exact to 1%: {sph_ok}",
+        f"slab R^2={c['slab_inverse_r_fit']:.5f} (>=0.99), "
+        f"catenoid R^2={c['catenoid_r2_log_r_fit']:.5f} (>=0.98), "
+        f"grim reaper ratio@256={c['grim_reaper_ratio_at_256']:.4f} (<0.05, H-term<= "
+        f"{c['grim_reaper_h_term']:.3f}), "
+        f"sphere c(n) exact to 1%: {checks['shrinking_sphere_c_rel_err']['ok']}",
     )
     assert ok
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entropylab import cli, geometry, meshing
+from entropylab import cli, collapse, conjugate, geometry, meshing
 from entropylab.geometry import AnalyticDomain, PlanarCurve
 
 
@@ -191,6 +191,22 @@ class TestPipelines:
             "subcommand", "suite", "h", "steps_per_tau", "out", "tag"
         }
 
+    @pytest.mark.parametrize("suite, flags, target, value, failed", [
+        ("shrinker", ["--h", "0.04", "--steps-per-tau", "250"],
+         (conjugate.BackwardSolveState, "max_mass_drift"), 1.0, "mass_drift"),
+        ("collapse", ["--budget", "10000"],
+         (collapse, "shrinking_sphere_ratio"), 0.0, "shrinking_sphere_c_rel_err"),
+    ], ids=["shrinker", "collapse"])
+    def test_failed_check_exits_4(self, suite, flags, target, value, failed,
+                                  tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(*target, lambda *args: value)
+        argv = ["verify", "--suite", suite, *flags, "--out", str(tmp_path), "--tag", "v"]
+        assert cli.main(argv) == cli.EXIT_ACCEPTANCE
+        err = capsys.readouterr().err
+        assert err.startswith("acceptance failure:") and repr(failed) in err
+        checks = json.loads((tmp_path / "v" / f"verify-{suite}.json").read_text())
+        assert [name for name, c in checks.items() if not c["ok"]] == [failed]
+
     def test_validation_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["entropy", "--tau", "-1"]) == cli.EXIT_VALIDATION
@@ -285,6 +301,22 @@ class TestPipelines:
         assert rc == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("invalid input for collapse: ") and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--domain", "file:{dir}"],
+        ["entropy", "--domain", "disk:1", "--h", "0.1", "--beta", "file:{dir}"],
+        ["flow", "--domain", "file:{dir}"],
+        ["flow", "--domain", "file:{file}/x.json"],
+    ], ids=" ".join)
+    def test_unreadable_file_input_exits_2(self, argv, tmp_path, capsys):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        argv = [arg.format(dir=tmp_path, file=plain) for arg in argv]
+        rc = cli.main(argv + ["--out", str(tmp_path / "runs")])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input for {argv[0]}: ") and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
     def test_beta_file_needs_one_finite_value_per_boundary_vertex(self, tmp_path, capsys):

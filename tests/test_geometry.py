@@ -47,10 +47,6 @@ class TestPlanarCurveBasics:
         with pytest.raises(GeometryError):
             PlanarCurve(bowtie)
 
-    def test_centroid_of_offset_circle(self):
-        c = PlanarCurve.circle(1.0, 256, center=(2.0, -1.0))
-        assert np.allclose(c.centroid(), [2.0, -1.0], atol=1e-10)
-
 
 class TestDifferentialQuantities:
     def test_circle_curvature_constant(self):

@@ -111,7 +111,3 @@ class TestTriMesh:
         assert np.allclose(d[near], depth[near], atol=5e-3)
         assert np.all(np.isinf(d[~near]))
         assert np.all(depth[~near] >= cutoff - 5e-3)
-        # cached per cutoff
-        assert disk_mesh.interior_distance_to_boundary(cutoff) is (
-            disk_mesh.interior_distance_to_boundary(cutoff)
-        )
