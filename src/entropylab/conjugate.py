@@ -43,6 +43,7 @@ worst relative residual are kept in ``BackwardSolveState.linear_solve``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,17 +227,23 @@ def lagrange_weights(nodes, t):
 
     For the polynomial p of degree len(nodes) - 1 with p(nodes[j]) = y_j,
     p(t) = sum_j w[j] y_j and p'(t) = sum_j dw[j] y_j.  At a node the value
-    weights are exactly 1 and 0.
+    weights are exactly 1 and 0.  The few nodes are Python floats, and the
+    products and the sum run left to right.
     """
-    x = np.asarray(nodes, dtype=float)
-    w, dw = np.empty(len(x)), np.empty(len(x))
-    for j in range(len(x)):
-        others = np.delete(x, j)
-        denom = np.prod(x[j] - others)
-        d = t - others
-        w[j] = np.prod(d) / denom
-        dw[j] = sum(np.prod(np.delete(d, m)) for m in range(len(d))) / denom
-    return w, dw
+    x = [float(v) for v in nodes]
+    t = float(t)
+    w, dw = [], []
+    for j, xj in enumerate(x):
+        others = x[:j] + x[j + 1:]
+        denom = math.prod([xj - v for v in others])
+        d = [t - v for v in others]
+        w.append(math.prod(d) / denom)
+        # a plain loop: sum() of floats is compensated from Python 3.12 on
+        acc = 0.0
+        for m in range(len(d)):
+            acc += math.prod(d[:m] + d[m + 1:])
+        dw.append(acc / denom)
+    return np.array(w), np.array(dw)
 
 
 def backward_solve(

@@ -222,22 +222,27 @@ class PlanarCurve:
     def contains_points(self, points) -> np.ndarray:
         """Even-odd crossing test.
 
-        Edges are binned by the y-bins their span covers (about sqrt(m)
-        bins), and each point is tested only against the edges of its own
-        bin: no other edge can straddle the point's y.  Each (point, edge)
-        pair uses the same crossing arithmetic as a dense test.
+        Edges are binned by the y-bins their span covers, and each point is
+        tested only against the edges of its own bin: no other edge can
+        straddle the point's y.  A bin is about as tall as the mean y-extent
+        of the non-horizontal edges (Haines 1994), so each edge covers about
+        two bins and each point meets a few edges, whatever the curve; when
+        every edge spans the full height there is one bin.  Each (point,
+        edge) pair uses the same crossing arithmetic as a dense test.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.vertices
         w = np.roll(v, -1, axis=0)
         ylo = np.minimum(v[:, 1], w[:, 1])
         yhi = np.maximum(v[:, 1], w[:, 1])
-        nbins = max(1, int(np.sqrt(len(v))))
-        bounds = np.linspace(ylo.min(), yhi.max(), nbins + 1)
-
         # bin(y) is monotone in y, so an edge with ylo <= y < yhi is listed
         # in bin(y); horizontal edges never straddle and are left out
         e = np.flatnonzero(ylo < yhi)
+        nbins = 1
+        if len(e):
+            mean_dy = np.mean(yhi[e] - ylo[e])
+            nbins = int(np.clip((yhi.max() - ylo.min()) / mean_dy, 1, len(v)))
+        bounds = np.linspace(ylo.min(), yhi.max(), nbins + 1)
         first = np.clip(np.searchsorted(bounds, ylo[e], side="right") - 1, 0, nbins - 1)
         span = np.clip(np.searchsorted(bounds, yhi[e], side="right") - 1, 0, nbins - 1)
         span -= first - 1

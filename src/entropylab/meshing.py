@@ -25,6 +25,11 @@ from .geometry import GeometryError, PlanarCurve
 
 MIN_ANGLE = 20.0  # degrees; smaller angles fail the mesh attempt
 SMOOTHING_SWEEPS = 4  # Laplacian smoothing sweeps of the first attempt
+# Largest hex lattice a mesh attempt seeds (16 MB of coordinates): about 110
+# times the vertices of a 9k-vertex mesh of the unit disk at h 0.02.  At
+# h 1e-4 that disk's lattice has 4.6e8 points, whose coordinates alone
+# exhaust a host's memory before meshing could fail, so it is refused first.
+MAX_LATTICE_POINTS = 10**6
 
 
 class MeshQualityError(RuntimeError):
@@ -117,9 +122,11 @@ def _points_polyline_distance(points, loop, cutoff: float) -> np.ndarray:
 
     Exact where it is below ``cutoff`` and +inf elsewhere.  Only segments
     whose midpoint lies within cutoff + half the longest segment of a point
-    are measured (a kd-tree radius query), so the cost is near-linear when
-    the cutoff is of the order of the segment length.  Each (point, segment)
-    pair uses the clip-and-project formula of a dense scan, so the result is
+    are measured, so the cost is near-linear when the cutoff is of the order
+    of the segment length.  The pairs come from the segments' side: a
+    kd-tree on the points is ball-queried from the m segment midpoints, and
+    the pairs are stably sorted by point.  Each (point, segment) pair uses
+    the clip-and-project formula of a dense scan, so the result is
     bit-identical to the dense minimum wherever that is below the cutoff.
     """
     points = np.asarray(points, dtype=float)
@@ -133,12 +140,15 @@ def _points_polyline_distance(points, loop, cutoff: float) -> np.ndarray:
     radius = (cutoff + 0.5 * np.sqrt(dd.max())) * (1.0 + 1e-9) + 1e-12 * (
         1.0 + np.abs(loop).max()
     )
-    near = cKDTree(p1 + 0.5 * d).query_ball_point(points, radius, return_sorted=False)
-    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(points))
-    if not counts.any():
+    near = cKDTree(points).query_ball_point(p1 + 0.5 * d, radius, return_sorted=False)
+    per_segment = np.fromiter(map(len, near), dtype=np.intp, count=len(p1))
+    if not per_segment.any():
         return out
-    i = np.repeat(np.arange(len(points)), counts)
-    j = np.concatenate(near[counts > 0]).astype(np.intp)
+    i = np.concatenate(near[per_segment > 0]).astype(np.intp)
+    order = np.argsort(i, kind="stable")
+    i = i[order]
+    j = np.repeat(np.arange(len(p1)), per_segment)[order]
+    counts = np.bincount(i, minlength=len(points))
     q, a, dj = points[i], p1[j], d[j]
     t = np.clip(np.einsum("ik,ik->i", q - a, dj) / dd[j], 0.0, 1.0)
     dist = np.linalg.norm(q - (a + t[:, None] * dj), axis=1)
@@ -196,14 +206,20 @@ def _locally_delaunay(pts, quads) -> np.ndarray:
     The incircle determinant is evaluated relative to d and must be below
     -1e-10 times its permanent, far past its rounding error (about 1.1e-15
     times the permanent, Shewchuk 1997), so a True holds in exact arithmetic.
+    Both are summed over a, b, c in that order from flat coordinate columns.
     """
-    x = pts[quads[:, :3]] - pts[quads[:, 3:]]
-    lift = np.einsum("ijk,ijk->ij", x, x)
-    nxt, prv = x[:, [1, 2, 0]], x[:, [2, 0, 1]]
-    p = nxt[..., 0] * prv[..., 1]
-    q = prv[..., 0] * nxt[..., 1]
-    det = np.sum(lift * (p - q), axis=1)
-    return det < -1e-10 * np.sum(lift * (np.abs(p) + np.abs(q)), axis=1)
+    x, y = pts[:, 0], pts[:, 1]
+    a, b, c, d = quads.T
+    ax, ay = x[a] - x[d], y[a] - y[d]
+    bx, by = x[b] - x[d], y[b] - y[d]
+    cx, cy = x[c] - x[d], y[c] - y[d]
+    la, lb, lc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    pa, qa = bx * cy, cx * by
+    pb, qb = cx * ay, ax * cy
+    pc, qc = ax * by, bx * ay
+    det = la * (pa - qa) + lb * (pb - qb) + lc * (pc - qc)
+    perm = la * (abs(pa) + abs(qa)) + lb * (abs(pb) + abs(qb)) + lc * (abs(pc) + abs(qc))
+    return det < -1e-10 * perm
 
 
 def _still_delaunay(pts, tris, quads, nb: int, bcurve=None) -> bool:
@@ -309,6 +325,14 @@ def _triangulate_once(
 ) -> TriMesh:
     if not curve.ccw:
         raise GeometryError("curve must be counter-clockwise")
+    # the lattice spans the refined boundary's box, which lies in the curve's
+    span = np.ptp(curve.vertices, axis=0) + 4 * h_eff
+    n_lattice = (span[0] / h_eff + 1) * (span[1] / (h_eff * np.sqrt(3) / 2) + 1)
+    if n_lattice > MAX_LATTICE_POINTS:
+        raise GeometryError(
+            f"h {h:g} seeds about {n_lattice:.2g} lattice points on this domain, "
+            f"more than {MAX_LATTICE_POINTS:.0e}; use a larger h"
+        )
     bpts, bparam = refine_boundary(curve, h_eff)
     bcurve = PlanarCurve(bpts, check_embedded=False)
     nb = len(bpts)

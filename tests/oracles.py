@@ -1,11 +1,14 @@
 """Reference implementations of the library's fast kernels.
 
 The meshing and geometry kernels are the straightforward O(N * m) forms of
-kernels the library computes with a spatial index or a sweep; tests require
-the fast kernels to give the same answers, bit for bit.  The patch fits and
-the moving-mesh matrices are the earlier einsum/COO forms of the harnack
-and conjugate kernels; those sum in another order, so tests compare them to
-a tolerance.  The moving-mesh substep's solve is the earlier ``spsolve``
+kernels the library computes with a spatial index or a sweep, and the
+incircle test on stacked gathers that the library evaluates on flat
+coordinate columns; tests require the fast kernels to give the same
+answers, bit for bit.  So must the Lagrange weights, here formed with
+numpy's ``delete`` and ``prod`` where the library multiplies Python
+floats.  The patch fits and the moving-mesh matrices are the earlier
+einsum/COO forms of the harnack and conjugate kernels; those sum in another
+order, so tests compare them to a tolerance.  The moving-mesh substep's solve is the earlier ``spsolve``
 from scratch, against which the reused-factor solve is held.  The flow step
 is the earlier ``np.roll`` form resampled through scipy's ``CubicSpline``,
 and the turning guard the standalone form the flow loop now folds into its
@@ -66,6 +69,30 @@ def contains_points(curve, points):
         xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
     crossings = np.sum(cond & (x < xs), axis=1)
     return crossings % 2 == 1
+
+
+def locally_delaunay(pts, quads):
+    """The incircle test of each quad (a, b, c, d) on stacked (n, 3, 2) gathers."""
+    x = pts[quads[:, :3]] - pts[quads[:, 3:]]
+    lift = np.einsum("ijk,ijk->ij", x, x)
+    nxt, prv = x[:, [1, 2, 0]], x[:, [2, 0, 1]]
+    p = nxt[..., 0] * prv[..., 1]
+    q = prv[..., 0] * nxt[..., 1]
+    det = np.sum(lift * (p - q), axis=1)
+    return det < -1e-10 * np.sum(lift * (np.abs(p) + np.abs(q)), axis=1)
+
+
+def lagrange_weights(nodes, t):
+    """Lagrange value and derivative weights, one ``np.delete`` per product."""
+    x = np.asarray(nodes, dtype=float)
+    w, dw = np.empty(len(x)), np.empty(len(x))
+    for j in range(len(x)):
+        others = np.delete(x, j)
+        denom = np.prod(x[j] - others)
+        d = t - others
+        w[j] = np.prod(d) / denom
+        dw[j] = sum(np.prod(np.delete(d, m)) for m in range(len(d))) / denom
+    return w, dw
 
 
 def segments_intersect(p1, p2, q1, q2) -> np.ndarray:

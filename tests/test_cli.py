@@ -319,6 +319,20 @@ class TestPipelines:
         assert err.startswith(f"invalid input for {argv[0]}: ") and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
+    def test_tiny_h_exits_2_before_seeding(self, tmp_path, capsys, monkeypatch):
+        # at h 1e-4 the unit disk's lattice would hold about 4.6e8 points
+        def unreachable(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(meshing, "_hex_lattice", unreachable)
+        rc = cli.main(["entropy", "--domain", "disk:1", "--h", "1e-4",
+                       "--out", str(tmp_path / "runs")])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input for entropy: ") and "lattice points" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
     def test_beta_file_needs_one_finite_value_per_boundary_vertex(self, tmp_path, capsys):
         n = meshing.triangulate(cli.parse_domain("disk:1"), 0.1).n_boundary
         path = tmp_path / "beta.txt"

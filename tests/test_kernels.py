@@ -5,19 +5,24 @@ that cannot matter, and compute every remaining pair with the dense
 arithmetic, so they must agree with the oracles bit for bit, and so must the
 meshes built on them.  Meshing keeps Qhull's triangles while they stay
 Delaunay; its meshes must be those of a Qhull call per sweep, bit for bit,
-with one Qhull call per attempt.  The embeddedness sweep skips segment
-pairs the same way but tests crossings without division; it must give the
-pair oracle's answer.  The batched patch fits and the fixed-pattern ALE
-matrices sum in another order than their einsum/COO oracles, so they are
-held to rounding-level tolerances, and so is the flow step, whose spline
-resample solves for moments where scipy's ``CubicSpline`` solves for
-slopes.  The boundary patches' neighbours, cut from a wider query, must be
+with one Qhull call per attempt.  The incircle test on flat coordinate
+columns and the Lagrange weights on Python floats keep the oracles'
+arithmetic and order, so they too agree bit for bit; the incircle test is
+also held there on quads within 4e-10 of cocircular, around its -1e-10
+margin.  The embeddedness sweep skips segment pairs the same way but tests
+crossings without division; it must give the pair oracle's answer.  The
+batched patch fits and the fixed-pattern ALE matrices sum in another order
+than their einsum/COO oracles, so they are held to rounding-level
+tolerances, and so is the flow step, whose spline resample solves for
+moments where scipy's ``CubicSpline`` solves for slopes.  The boundary patches' neighbours, cut from a wider query, must be
 a fresh query's neighbours.  The flow's folded turning guard is the
 oracle's arithmetic on the same edge data, bit for bit.  The edge-vectorized
 clipping kernels are held to their per-edge oracles to 1e-13 relative (1e-15
 absolute near zero), and the blocked Monte Carlo volume to the one-shot one,
 bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +67,51 @@ def _queries(rng, curve):
     return np.vstack(pts)
 
 
+def _level_queries(rng, curve):
+    """Points at the vertex heights and at the bounds of every bin count
+    1..m the crossing test can choose, at random and vertex x-values."""
+    v = curve.vertices
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    ys = [v[:, 1]] + [np.linspace(lo[1], hi[1], k + 1) for k in range(1, len(v) + 1)]
+    ys = np.concatenate(ys)
+    xs = np.where(rng.random(len(ys)) < 0.5, rng.uniform(lo[0] - 0.1, hi[0] + 0.1, len(ys)),
+                  rng.choice(v[:, 0], len(ys)))
+    return np.column_stack([xs, ys])
+
+
+def _comb(rng, n):
+    """A sawtooth comb on a horizontal base: n teeth, each edge off the base
+    running from y = 0 to y = 1, so the crossing test has a single bin."""
+    x = np.cumsum(rng.uniform(0.1, 1.0, 2 * n + 1))
+    y = np.zeros(2 * n + 1)
+    y[1::2] = 1.0
+    return PlanarCurve(np.column_stack([x - x[0], y]), check_embedded=False)
+
+
+def _skyline(rng, n):
+    """A rectilinear skyline of n towers with integer heights: every edge is
+    horizontal or vertical, and many vertices share a height."""
+    heights = rng.integers(1, 5, n).astype(float)
+    x = np.arange(n + 1, dtype=float)
+    top = [(x[k + s], heights[k]) for k in range(n - 1, -1, -1) for s in (1, 0)]
+    v = np.array([(0.0, 0.0), (float(n), 0.0)] + top)
+    v = v[np.any(v != np.roll(v, 1, axis=0), axis=1)]
+    return PlanarCurve(v, check_embedded=False)
+
+
+def _near_cocircular_quads(rng, n):
+    """n quads (a, b, c, d) with both triangles counter-clockwise, whose d is
+    moved off the circle through a, b, c by k * 1e-11 of its radius,
+    |k| <= 40: the incircle test's -1e-10 margin falls inside that range."""
+    th = np.sort(rng.uniform(0.0, 2 * np.pi, (n, 4)), axis=1)
+    scale = np.ones((n, 4))
+    scale[:, 3] += rng.integers(-40, 41, n) * 1e-11
+    r = rng.uniform(0.01, 2.0, (n, 1)) * scale
+    p = rng.uniform(-3.0, 3.0, (n, 1, 2)) + r[..., None] * np.stack(
+        [np.cos(th), np.sin(th)], axis=-1)
+    return p[:, [2, 0, 1, 3]].reshape(-1, 2)
+
+
 @pytest.fixture(scope="module")
 def small_mesh():
     return triangulate(PlanarCurve.circle(1.0, 64), 0.2)
@@ -81,6 +131,57 @@ class TestAgainstOracles:
         pts = _queries(rng, curve)
         assert np.array_equal(curve.contains_points(pts),
                               oracles.contains_points(curve, pts))
+
+    @given(**polygons)
+    @settings(max_examples=100, deadline=None)
+    def test_contains_points_at_levels(self, m, seed, grid):
+        rng = np.random.default_rng(seed)
+        curve = _star_polygon(rng, m, grid)
+        assume(curve is not None)
+        pts = _level_queries(rng, curve)
+        assert np.array_equal(curve.contains_points(pts),
+                              oracles.contains_points(curve, pts))
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["comb", "skyline"]))
+    @settings(max_examples=100, deadline=None)
+    def test_contains_points_tall_and_horizontal_edges(self, n, seed, shape):
+        rng = np.random.default_rng(seed)
+        curve = (_comb if shape == "comb" else _skyline)(rng, n)
+        v = curve.vertices
+        dy = np.abs(np.roll(v[:, 1], -1) - v[:, 1])
+        assert np.any(dy == 0.0)
+        if shape == "comb":  # every edge that is not horizontal spans the full height
+            assert np.all((dy == 0.0) | (dy == np.ptp(v[:, 1])))
+        pts = np.vstack([_queries(rng, curve), _level_queries(rng, curve)])
+        assert np.array_equal(curve.contains_points(pts),
+                              oracles.contains_points(curve, pts))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           kind=st.sampled_from(["random", "cocircular"]))
+    @settings(max_examples=150, deadline=None)
+    def test_locally_delaunay(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            pts = rng.uniform(-3.0, 3.0, (4 * n, 2))
+        else:
+            pts = _near_cocircular_quads(rng, n)
+        quads = np.arange(4 * n).reshape(n, 4)
+        assert np.array_equal(meshing._locally_delaunay(pts, quads),
+                              oracles.locally_delaunay(pts, quads))
+
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           at=st.sampled_from(["node", "inside", "outside"]))
+    @settings(max_examples=200, deadline=None)
+    def test_lagrange_weights(self, n, seed, at):
+        rng = np.random.default_rng(seed)
+        nodes = list(rng.uniform(-5.0, 5.0, n) * 10.0 ** rng.integers(-3, 3))
+        t = {"node": nodes[rng.integers(n)],
+             "inside": rng.uniform(min(nodes), max(nodes)),
+             "outside": max(nodes) + rng.uniform(0.0, 3.0) * np.ptp(nodes)}[at]
+        w, dw = conjugate.lagrange_weights(nodes, t)
+        w_ref, dw_ref = oracles.lagrange_weights(nodes, t)
+        assert np.array_equal(w, w_ref) and np.array_equal(dw, dw_ref)
 
     @given(**polygons, cutoff=st.floats(1e-3, 3.0))
     @settings(max_examples=150, deadline=None)
@@ -133,6 +234,24 @@ class TestAgainstOracles:
         assert meshing._points_polyline_distance(np.empty((0, 2)), loop, 0.1).shape == (0,)
         assert np.all(np.isinf(
             meshing._points_polyline_distance(np.array([[0.0, 0.0]]), loop, 0.5)))
+
+
+def test_contains_points_memory():
+    # the 18k triangle centroids of the unit disk's h 0.02 mesh against its
+    # 314-gon: its 157 edge-height bins give 3.7 (point, edge) pairs per
+    # point, where 17 sqrt(m) bins gave 17.5 and peaked at 24.6 MiB
+    mesh = triangulate(PlanarCurve.circle(1.0, 512), 0.02)
+    curve = mesh.boundary_curve()
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    assert len(curve) == 314 and len(centroids) > 17_000
+    tracemalloc.start()
+    try:
+        inside = curve.contains_points(centroids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inside.all()
+    assert peak < 8 * 2**20
 
 
 def _trefoil(m=512):
