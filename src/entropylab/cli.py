@@ -120,6 +120,8 @@ class RunConfig:
     def validate(self):
         if self.subcommand not in _PIPELINES:
             raise ValidationError(f"unknown subcommand {self.subcommand!r}")
+        if self.suite not in _SUITES:
+            raise ValidationError(f"unknown suite {self.suite!r}")
         for name in ("tau", "h", "frac", "dt_scale", "a", "tol", "steps_per_tau"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
@@ -590,12 +592,8 @@ def _run_logsobolev(cfg: RunConfig, out: str, warnings_: list):
 
 
 def _run_verify(cfg: RunConfig, out: str, warnings_: list):
-    if cfg.suite == "shrinker":
-        checks = verify_shrinker(h=cfg.h, steps_per_tau=cfg.steps_per_tau)
-    elif cfg.suite == "collapse":
-        checks = verify_collapse(budget=cfg.budget, seed=cfg.seed)
-    else:
-        raise ValidationError(f"unknown suite {cfg.suite!r}")
+    suite, names = _SUITES[cfg.suite]
+    checks = suite(**{name: getattr(cfg, name) for name in names})
     jpath = _write_json(os.path.join(out, f"verify-{cfg.suite}.json"), checks)
     failed = [name for name, c in checks.items() if not c["ok"]]
     if failed:
@@ -699,8 +697,12 @@ def verify_collapse(budget=RunConfig.budget, seed=RunConfig.seed) -> dict:
     }
 
 
-# the verify flags each suite reads
-_SUITE_FLAGS = {"shrinker": ("h", "steps_per_tau"), "collapse": ("seed", "budget")}
+# suite -> (battery, the RunConfig fields it reads: its verify flags)
+_SUITES = {
+    "shrinker": (verify_shrinker, ("h", "steps_per_tau")),
+    "collapse": (verify_collapse, ("seed", "budget")),
+}
+_VERIFY_FLAGS = sum((names for _, names in _SUITES.values()), ())
 
 # --h is read from conjugate on; flow accepts it so that one argv drives the
 # whole chain
@@ -720,8 +722,7 @@ _PIPELINES = {
                  ("domain", "beta", "seed", "radii", "centers", "budget")),
     "logsobolev": (_run_logsobolev, "log-Sobolev inequality checks",
                    ("domain", "h", "seed", "eps", "fields")),
-    "verify": (_run_verify, "acceptance batteries",
-               ("suite",) + sum(_SUITE_FLAGS.values(), ())),
+    "verify": (_run_verify, "acceptance batteries", ("suite",) + _VERIFY_FLAGS),
 }
 
 
@@ -734,7 +735,7 @@ def run(cfg: RunConfig) -> RunManifest:
     pipeline, _, names = _PIPELINES[cfg.subcommand]
     outputs = pipeline(cfg, out, warnings_)
     if cfg.subcommand == "verify":
-        names = ("suite",) + _SUITE_FLAGS[cfg.suite]
+        names = ("suite",) + _SUITES[cfg.suite][1]
     # echo only the settings the run read
     names = ("subcommand",) + names + ("out", "tag")
     config = {name: getattr(cfg, name) for name in names}
@@ -768,7 +769,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # None marks a verify flag that was not given, so that _parse_args can
     # reject the flags of the suite that does not run; RunConfig fills in
     # the default
-    suite_flags = sum(_SUITE_FLAGS.values(), ())
     for command, (_, hlp, names) in _PIPELINES.items():
         # no abbreviations: "--h" on a subcommand without --h is an error,
         # not a request for --help
@@ -778,8 +778,9 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--" + name.replace("_", "-"),
                 type=float if name == "a" else type(default),
-                default=None if command == "verify" and name in suite_flags else default,
-                choices=tuple(_SUITE_FLAGS) if name == "suite" else None,
+                default=(None if command == "verify" and name in _VERIFY_FLAGS
+                         else default),
+                choices=tuple(_SUITES) if name == "suite" else None,
             )
     return p
 
@@ -788,7 +789,7 @@ def _parse_args(argv) -> dict:
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
     if args["subcommand"] == "verify":
-        for suite, names in _SUITE_FLAGS.items():
+        for suite, (_, names) in _SUITES.items():
             for name in names:
                 if suite != args["suite"] and args[name] is not None:
                     flag = "--" + name.replace("_", "-")

@@ -261,12 +261,6 @@ def lower_bound_rhs(tau: float, sup_beta: float, constants: dict):
 CUTOFF_CONSTANT = 16.0 * np.pi**2
 
 
-def cutoff_profile(rho, r: float) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    s = np.clip((rho - r / 2.0) / (r / 2.0), 0.0, 1.0)
-    return np.cos(np.pi * s / 2.0) ** 2
-
-
 def volume_ratio_upper_bound(domain, beta, center, r: float) -> dict:
     """Upper bound for mu_beta(Omega, r^2) from the cutoff test function.
 

@@ -129,12 +129,6 @@ class PlanarCurve:
 
     # -- differential quantities ----------------------------------------
 
-    def arc_coordinates(self) -> np.ndarray:
-        """Cumulative arc length of each vertex, starting at 0."""
-        ds = self.edge_lengths()
-        s = np.concatenate([[0.0], np.cumsum(ds[:-1])])
-        return s
-
     def turning_angles(self) -> np.ndarray:
         """Signed exterior angle at each vertex (positive where CCW-convex)."""
         e = self.edges()
@@ -159,9 +153,7 @@ class PlanarCurve:
 
     def outward_normal(self) -> np.ndarray:
         """Unit outward normals per vertex (for CCW orientation)."""
-        e = self.edges()
-        t = np.roll(e, 1, axis=0) + e
-        t /= np.linalg.norm(t, axis=1)[:, None]
+        t = self.unit_tangent()
         return np.column_stack([t[:, 1], -t[:, 0]])
 
     def unit_tangent(self) -> np.ndarray:
@@ -402,29 +394,6 @@ class AnalyticDomain:
             return out
 
     # boundary data --------------------------------------------------------
-
-    def boundary_H(self, point) -> float:
-        """Exact mean curvature at a boundary point, outward normal convention."""
-        p = np.asarray(point, dtype=float)
-        if self.variant == "disk":
-            return 1.0 / self.params[0]
-        if self.variant == "ball":
-            R, dim = self.params
-            return (dim - 1) / R
-        if self.variant in ("half_plane", "slab", "catenoid_3d"):
-            return 0.0
-        if self.variant in ("grim_reaper_2d", "grim_reaper_product"):
-            if abs(p[-2]) >= np.pi / 2:
-                raise GeometryError(
-                    "grim reaper boundary is parametrized over |x1| < pi/2"
-                )
-            return float(np.exp(-p[-1]))
-        if self.variant == "ellipse":
-            a, b = self.params
-            th = np.arctan2(p[1] / b, p[0] / a)
-            return float(
-                a * b / (a**2 * np.sin(th) ** 2 + b**2 * np.cos(th) ** 2) ** 1.5
-            )
 
     def boundary_curve(self, m: int) -> PlanarCurve:
         """Sampled boundary polyline for 2D bounded variants."""

@@ -33,6 +33,8 @@ thread count.
 The patch fits build their design matrices FIT_BLOCK centers at a time: a
 whole snapshot's (centers, coefficients, neighbours) matrix is megabytes,
 and with two snapshots in flight it set the peak memory.
+Every patch takes its neighbours from ``_nearest`` in (distance, vertex
+index) order, whatever order scipy's k-d tree visits the points in.
 """
 
 from __future__ import annotations
@@ -104,31 +106,57 @@ class HarnackReport:
         return out
 
 
-def _poly_fit(mesh, values, centers, degree, keep=None, k=PATCH_K, neighbors=None):
+def _nearest(points, centers, k):
+    """(distances, indices) of each center's min(k, len(points)) nearest points.
+
+    Each row is in (distance, index) order: a tie at the cut keeps the lower
+    index, and the first columns are the answer for a smaller k.  Rows whose
+    cut ties are queried again, wider, until their last column lies past it.
+    """
+    n = len(points)
+    k = min(k, n)
+    tree = cKDTree(points)
+    width = min(k + 1, n)
+    d, idx = _ties_by_index(*tree.query(centers, width))
+    tie = np.flatnonzero(d[:, k - 1] == d[:, -1]) if width > k else []
+    while len(tie):
+        width = min(2 * width, n)
+        # points at the tied distance lie within the bound (rounding is ~1e-16)
+        bound = d[tie, k - 1].max() * (1.0 + 1e-9)
+        dt, it = _ties_by_index(
+            *tree.query(centers[tie], width, distance_upper_bound=bound))
+        d[tie, :k], idx[tie, :k] = dt[:, :k], it[:, :k]
+        tie = tie[(width < n) & (dt[:, k - 1] == dt[:, -1])]
+    return d[:, :k], idx[:, :k]
+
+
+def _ties_by_index(d, idx):
+    """Put each run of equal distances in a k-d tree query's rows in index order."""
+    rows = np.flatnonzero(np.any(d[:, 1:] == d[:, :-1], axis=1))
+    # complex numbers sort by real part, then by imaginary part; the rows come
+    # sorted by distance, so a stable sort only reorders the runs
+    idx[rows] = np.sort(d[rows] + 1j * idx[rows], axis=1, kind="stable").imag
+    return d, idx
+
+
+def _poly_fit(mesh, values, centers, degree, neighbors):
     """Least-squares polynomial models of a nodal field around each center.
 
-    Each center is fitted on its k nearest mesh vertices (nearest among
-    ``keep`` if given), or on ``neighbors``, the (distances, vertex indices)
-    of a k-nearest query made by the caller.  Returns (c, R): c[b] holds the
+    Each center is fitted on ``neighbors``, the (distances, vertex indices)
+    of its nearest vertices from ``_nearest``.  Returns (c, R): c[b] holds the
     coefficients in the monomial order 1, x, y, x2, xy, y2, x3, x2y, xy2, y3
     (up to ``degree``) with coordinates scaled by the patch radius R[b]
-    (distance to the k-th neighbor), so derivatives of the model at the
+    (distance to the farthest neighbor), so derivatives of the model at the
     center are read off the low-order coefficients.  The centers are fitted
     FIT_BLOCK at a time, which bounds the design matrices' memory and leaves
     each center's arithmetic as it is.
     """
     v = mesh.vertices
-    points = v if keep is None else v[keep]
-    k = min(k, len(points)) if neighbors is None else neighbors[1].shape[1]
+    d, idx = neighbors
+    k = idx.shape[1]
     ncoef = (degree + 1) * (degree + 2) // 2
     if k < 3 * ncoef // 2:  # 15 points for a cubic, 9 for a quadratic
         raise HarnackError(f"mesh too small for degree-{degree} patches ({k} points)")
-    if neighbors is None:
-        d, idx = cKDTree(points).query(centers, k=k)
-        if keep is not None:
-            idx = keep[idx]
-    else:
-        d, idx = neighbors
     R = d[:, -1]
     c = np.empty((len(centers), ncoef))
     for s in range(0, len(centers), FIT_BLOCK):
@@ -161,7 +189,9 @@ def _hessian_from_fits(mesh, f):
     """
     cutoff = LAYER_EXCLUDE * mesh.boundary_curve().edge_lengths().mean()
     keep = np.flatnonzero(mesh.interior_distance_to_boundary(cutoff) >= cutoff)
-    c, R = _poly_fit(mesh, f, mesh.vertices, 3, keep=keep)
+    d, idx = _nearest(mesh.vertices[keep], mesh.vertices, PATCH_K)
+    idx = keep[idx]  # vertex indices; drops the query's own array
+    c, R = _poly_fit(mesh, f, mesh.vertices, 3, (d, idx))
     H = np.empty((len(f), 2, 2))
     H[:, 0, 0] = 2.0 * c[:, 3]
     H[:, 0, 1] = H[:, 1, 0] = c[:, 4]
@@ -182,25 +212,6 @@ def volume_term(ops: fem.FemOperators, f, u, tau: float) -> float:
     H[:, 1, 1] -= 1.0 / (2.0 * tau)
     dens = np.einsum("nij,nij->n", H, H)
     return 2.0 * tau * float(ops.M_lumped @ (u * dens))
-
-
-def _nearest_prefix(points, centers, neighbors, k):
-    """The k nearest ``points`` to ``centers``, cut from a query with more columns.
-
-    ``neighbors`` is (distances, indices) of a query of the same points and
-    centers at a larger k.  Its first k columns are the k nearest unless the
-    k-th and (k+1)-th distances tie, when a fresh query might keep the other
-    point at the cut; those rows are queried again.
-    """
-    d, idx = neighbors
-    if d.shape[1] <= k:
-        return d, idx
-    tie = np.flatnonzero(d[:, k - 1] == d[:, k])
-    d, idx = d[:, :k], idx[:, :k]
-    if len(tie):
-        d, idx = d.copy(), idx.copy()
-        d[tie], idx[tie] = cKDTree(points).query(centers[tie], k=k)
-    return d, idx
 
 
 def _ddt_stencil(times, i: int, last: int):
@@ -231,28 +242,24 @@ def _nodal_w_field(mesh, f, dfdt, vel, tau: float):
     hopeless -- its nodal noise does not vanish near the boundary.
     Returns W and the nearest-vertex query the fits used.
     """
-    neighbors = cKDTree(mesh.vertices).query(
-        mesh.vertices, k=min(PATCH_K, mesh.n_vertices)
-    )
-    c, R = _poly_fit(mesh, f, mesh.vertices, 3, neighbors=neighbors)
+    neighbors = _nearest(mesh.vertices, mesh.vertices, PATCH_K)
+    c, R = _poly_fit(mesh, f, mesh.vertices, 3, neighbors)
     gf = c[:, 1:3] / R[:, None]
     dtf = dfdt - np.einsum("ij,ij->i", vel, gf)  # fixed-point time derivative
     W = -2.0 * tau * dtf + tau * np.einsum("ij,ij->i", gf, gf) + f
     return W, neighbors
 
 
-def _boundary_normal_gradient(mesh, W: np.ndarray, neighbors=None) -> np.ndarray:
+def _boundary_normal_gradient(mesh, W: np.ndarray, neighbors) -> np.ndarray:
     """<grad W, nu> at boundary vertices from one-sided quadratic patches.
 
-    ``neighbors`` may pass in a wider nearest-vertex query of every vertex
-    (boundary vertices first); its QUAD_K prefix then replaces the query.
+    ``neighbors`` is ``_nearest`` of every vertex (boundary vertices first) at
+    k >= QUAD_K, so its first QUAD_K columns are the QUAD_K nearest.
     """
-    centers = mesh.vertices[: mesh.n_boundary]
-    if neighbors is not None:
-        nb = mesh.n_boundary
-        d, idx = neighbors
-        neighbors = _nearest_prefix(mesh.vertices, centers, (d[:nb], idx[:nb]), QUAD_K)
-    c, R = _poly_fit(mesh, W, centers, 2, k=QUAD_K, neighbors=neighbors)
+    nb = mesh.n_boundary
+    d, idx = neighbors
+    patches = d[:nb, :QUAD_K], idx[:nb, :QUAD_K]
+    c, R = _poly_fit(mesh, W, mesh.vertices[:nb], 2, patches)
     gW = c[:, 1:3] / R[:, None]
     nu = mesh.boundary_curve().outward_normal()
     return np.einsum("ij,ij->i", gW, nu)
@@ -336,16 +343,8 @@ def rate_identity_check(
 
     The last ``skip`` snapshots before t0 are excluded: with minimizer end
     data the third derivatives of f need not be continuous at t0, so the
-    boundary quantities there are not trustworthy.
-
-    One pass over the snapshots runs on one thread per CPU
-    (``_map_in_order``): each snapshot's operators are built on the shared
-    connectivity's pattern, used for its W_beta and terms, and dropped, so a
-    thread holds at most one snapshot's operators.  The W time stencils then
-    combine the results in snapshot order, so records and warnings are the
-    same bit for bit whatever the number of threads.  The patch fits work
-    FIT_BLOCK centers at a time, which bounds the memory of the snapshots in
-    flight together.
+    boundary quantities there are not trustworthy.  The snapshots are
+    evaluated on ``_map_in_order``'s threads, as the module docstring states.
     """
     snaps = state.trajectory.snapshots
     n_eval = state.t0_index + 1 - max(skip, 0)

@@ -49,13 +49,6 @@ def _log_u(phi):
     return 2.0 * np.log(p)
 
 
-def energy(ops: FemOperators, phi, tau: float, beta) -> float:
-    """E(phi) for normalized phi; equals w_beta of the corresponding f."""
-    phi = np.asarray(phi, dtype=float)
-    f = -_log_u(phi) - np.log(4.0 * np.pi * tau)
-    return w_beta(ops, f, tau, beta, pre_normalized=True).w_beta
-
-
 def _energy_raw(ops, phi, tau, bfull, w):
     logu = _log_u(phi)
     return (

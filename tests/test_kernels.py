@@ -14,15 +14,18 @@ crossings without division; it must give the pair oracle's answer.  The
 batched patch fits and the fixed-pattern ALE matrices sum in another order
 than their einsum/COO oracles, so they are held to rounding-level
 tolerances, and so is the flow step, whose spline resample solves for
-moments where scipy's ``CubicSpline`` solves for slopes.  The boundary patches' neighbours, cut from a wider query, must be
-a fresh query's neighbours.  The flow's folded turning guard is the
-oracle's arithmetic on the same edge data, bit for bit.  The edge-vectorized
+moments where scipy's ``CubicSpline`` solves for slopes.  The patch
+neighbourhoods must be the brute-force (distance, index) order's, bit for
+bit, whatever shape the k-d tree takes, and their first QUAD_K columns a
+fresh QUAD_K query's.  The flow's folded turning guard is the oracle's
+arithmetic on the same edge data, bit for bit.  The edge-vectorized
 clipping kernels are held to their per-edge oracles to 1e-13 relative (1e-15
 absolute near zero), and the blocked Monte Carlo volume to the one-shot one,
 bit for bit.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -380,7 +383,11 @@ class TestNumericKernelsAgainstOracles:
         extra = extra[mesh.boundary_curve().contains_points(extra)]
         centers = np.vstack([mesh.vertices, extra])
         k = harnack.QUAD_K if degree == 2 else harnack.PATCH_K
-        c, R = harnack._poly_fit(mesh, values, centers, degree, keep=keep, k=k)
+        points = mesh.vertices if keep is None else mesh.vertices[keep]
+        d, idx = harnack._nearest(points, centers, k)
+        if keep is not None:
+            idx = keep[idx]
+        c, R = harnack._poly_fit(mesh, values, centers, degree, (d, idx))
         c_ref, R_ref = oracles.poly_fit(mesh, values, centers, degree, keep=keep, k=k)
         assert np.array_equal(R, R_ref)
         assert np.abs(c - c_ref).max() <= 1e-10 * np.abs(c_ref).max()
@@ -451,39 +458,28 @@ class TestNumericKernelsAgainstOracles:
         m_ref = np.asarray(M_n.sum(axis=1)).ravel()
         assert np.abs(mass - m_ref).max() <= 1e-13 * m_ref.max()
 
-    @given(**meshes)
-    @settings(max_examples=20, deadline=None)
-    def test_boundary_patches_reuse_the_wide_query(self, seed):
-        # the boundary quadratics take the first QUAD_K columns of the
-        # PATCH_K query every vertex already made for the cubic fits
-        mesh, _ = _random_mesh(seed)
-        v, nb = mesh.vertices, mesh.n_boundary
-        d, idx = cKDTree(v).query(v, k=harnack.PATCH_K)
-        got = harnack._nearest_prefix(v, v[:nb], (d[:nb], idx[:nb]), harnack.QUAD_K)
-        ref = cKDTree(v).query(v[:nb], k=harnack.QUAD_K)
-        assert np.array_equal(got[0], ref[0])
-        assert np.array_equal(np.sort(got[1], axis=1), np.sort(ref[1], axis=1))
-        W = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1])
-        fresh = harnack._boundary_normal_gradient(mesh, W)
-        reused = harnack._boundary_normal_gradient(mesh, W, (d, idx))
-        assert np.abs(reused - fresh).max() <= 1e-12 * np.abs(fresh).max()
-
-    def test_neighbor_prefix_requeries_ties_at_the_cut(self):
-        # on the integer lattice an interior point's 36th and 37th nearest
-        # points are both at distance sqrt(10), so a cut prefix of the
-        # 45-point query can keep another point than a fresh 36-point query
+    def test_nearest_in_distance_index_order(self, monkeypatch):
+        # on the 15 x 15 integer lattice the k-th and (k+1)-th nearest points
+        # tie for many rows at k = 36 and 45; whatever the k-d tree's shape,
+        # the neighbourhoods must be the brute-force (distance, index) ones
         g = np.arange(15.0)
-        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        wide = cKDTree(pts).query(pts, k=45)
-        tie = wide[0][:, 35] == wide[0][:, 36]
-        naive = np.sort(wide[1][:, :36], axis=1)
-        d, idx = harnack._nearest_prefix(pts, pts, wide, 36)
-        d_ref, idx_ref = cKDTree(pts).query(pts, k=36)
-        assert tie.any()
-        assert np.any(naive != np.sort(idx_ref, axis=1))  # the cut matters here
-        assert np.array_equal(d[tie], d_ref[tie]) and np.array_equal(idx[tie], idx_ref[tie])
-        assert np.array_equal(d, d_ref)
-        assert np.array_equal(np.sort(idx, axis=1), np.sort(idx_ref, axis=1))
+        lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        disk = triangulate(PlanarCurve.circle(1.0, 256), 0.1).vertices
+        cases = [(lattice, 36), (lattice, 45), (disk, harnack.PATCH_K)]
+        for pts, k in cases[:2]:
+            d_ref, _ = oracles.nearest(pts, pts, k + 1)
+            assert np.any(d_ref[:, k - 1] == d_ref[:, k])
+        for tree in ({}, {"leafsize": 4}, {"leafsize": 64},
+                     {"balanced_tree": False}, {"compact_nodes": False}):
+            monkeypatch.setattr(harnack, "cKDTree", partial(cKDTree, **tree))
+            for pts, k in cases:
+                d, idx = harnack._nearest(pts, pts, k)
+                d_ref, idx_ref = oracles.nearest(pts, pts, k)
+                assert np.array_equal(idx, idx_ref), tree
+                assert np.array_equal(d, d_ref), tree
+                d_quad, idx_quad = harnack._nearest(pts, pts, harnack.QUAD_K)
+                assert np.array_equal(idx[:, : harnack.QUAD_K], idx_quad)
+                assert np.array_equal(d[:, : harnack.QUAD_K], d_quad)
 
     def test_ale_rejects_inverted_mesh(self, small_mesh):
         asm = conjugate._AleAssembler(small_mesh)

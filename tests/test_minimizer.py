@@ -44,8 +44,13 @@ class TestDiskOracle:
         assert disk_result.mu_multiplier == pytest.approx(disk_result.mu, abs=1e-8)
 
     def test_energy_agrees_with_w_beta(self, disk_ops, disk_result):
-        e = mz.energy(disk_ops, disk_result.phi, TAU, 1.0)
-        assert e == pytest.approx(disk_result.mu, abs=1e-12)
+        # the energy the line search descends is W_beta of f = -log(phi^2 4 pi tau)
+        phi = disk_result.phi
+        bfull = fn._beta_full(disk_ops, 1.0)
+        e = mz._energy_raw(disk_ops, phi, TAU, bfull, disk_ops.boundary_weights)
+        f = -2.0 * np.log(phi) - np.log(4.0 * np.pi * TAU)
+        w = fn.w_beta(disk_ops, f, TAU, 1.0, pre_normalized=True).w_beta
+        assert e == pytest.approx(w, abs=1e-12)
 
 
 class TestRobustness:
