@@ -458,6 +458,42 @@ class TestNumericKernelsAgainstOracles:
         m_ref = np.asarray(M_n.sum(axis=1)).ravel()
         assert np.abs(mass - m_ref).max() <= 1e-13 * m_ref.max()
 
+    @given(**meshes)
+    @settings(max_examples=20, deadline=None)
+    def test_boundary_patches_reuse_the_wide_query(self, seed):
+        # the boundary quadratics take the first QUAD_K columns of the
+        # PATCH_K query every vertex already made for the cubic fits
+        mesh, _ = _random_mesh(seed)
+        v, nb = mesh.vertices, mesh.n_boundary
+        d, idx = harnack._nearest(v, v, harnack.PATCH_K)
+        d_ref, idx_ref = harnack._nearest(v, v[:nb], harnack.QUAD_K)
+        assert np.array_equal(d[:nb, : harnack.QUAD_K], d_ref)
+        assert np.array_equal(idx[:nb, : harnack.QUAD_K], idx_ref)
+        W = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1])
+        reused = harnack._boundary_normal_gradient(mesh, W, (d, idx))
+        c, R = oracles.poly_fit(mesh, W, v[:nb], 2, k=harnack.QUAD_K)
+        nu = mesh.boundary_curve().outward_normal()
+        fresh = np.einsum("ij,ij->i", c[:, 1:3] / R[:, None], nu)
+        assert np.abs(reused - fresh).max() <= 1e-10 * np.abs(fresh).max()
+
+    def test_neighbor_prefix_requeries_ties_at_the_cut(self):
+        # on the integer lattice an interior point's 36th and 37th nearest
+        # points are both at distance sqrt(10), so a cut prefix of the
+        # 45-point k-d tree query can keep another point than a fresh
+        # 36-point one; the kernel's rows keep the lower index either way
+        g = np.arange(15.0)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        wide = cKDTree(pts).query(pts, k=45)
+        tie = wide[0][:, 35] == wide[0][:, 36]
+        naive = np.sort(wide[1][:, :36], axis=1)
+        assert tie.any()
+        assert np.any(naive != np.sort(cKDTree(pts).query(pts, k=36)[1], axis=1))
+        d, idx = harnack._nearest(pts, pts, 36)
+        d_ref, idx_ref = oracles.nearest(pts, pts, 36)
+        assert np.array_equal(d, d_ref) and np.array_equal(idx, idx_ref)
+        d_wide, idx_wide = harnack._nearest(pts, pts, 45)
+        assert np.array_equal(d_wide[:, :36], d) and np.array_equal(idx_wide[:, :36], idx)
+
     def test_nearest_in_distance_index_order(self, monkeypatch):
         # on the 15 x 15 integer lattice the k-th and (k+1)-th nearest points
         # tie for many rows at k = 36 and 45; whatever the k-d tree's shape,
