@@ -1,4 +1,4 @@
-"""Command-line orchestration: configuration, run persistence, plot data.
+"""Command-line orchestration: configuration and run persistence.
 
 One binary with subcommands {entropy, flow, conjugate, harnack, collapse,
 logsobolev, verify}.  Every run writes a JSON manifest (config echo,
@@ -283,12 +283,12 @@ def _beta_for_mesh(cfg: RunConfig, curve, mesh):
 # -- persistence -----------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, data: bytes):
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -296,15 +296,15 @@ def _atomic_write(path: str, text: str):
 
 
 def _write_json(path: str, obj, indent=2) -> str:
-    _atomic_write(path, json.dumps(obj, indent=indent, default=_fmt) + "\n")
+    _atomic_write(path, (json.dumps(obj, indent=indent, default=_fmt) + "\n").encode())
     return path
 
 
-def _write_table(path: str, header, rows, sep=",", comment="") -> str:
+def _write_table(path: str, header, rows) -> str:
     """A header line, then one line of _fmt values per row."""
-    lines = [comment + sep.join(header)]
-    lines += [sep.join(_fmt(v) for v in row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _atomic_write(path, ("\n".join(lines) + "\n").encode())
     return path
 
 
@@ -324,15 +324,6 @@ class RunManifest:
 
     def write(self, path: str):
         _write_json(path, asdict(self))
-
-
-def emit_plot_data(report, path: str):
-    """Whitespace-separated columns with a '#' header, one row per record.
-
-    Works for any report exposing COLUMNS and column(name).
-    """
-    cols = [report.column(name) for name in report.COLUMNS]
-    return _write_table(path, report.COLUMNS, zip(*cols), sep=" ", comment="# ")
 
 
 def _code_fingerprint() -> str:
@@ -366,10 +357,7 @@ class _Cache:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
         value = fn()
-        fd, tmp = tempfile.mkstemp(dir=self.dir, prefix=".tmp-")
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(value, fh)
-        os.replace(tmp, path)
+        _atomic_write(path, pickle.dumps(value))
         self.log[stage] = {"key": key, "hit": False}
         return value
 
@@ -526,7 +514,6 @@ def _run_harnack(cfg: RunConfig, out: str, warnings_: list):
             report.COLUMNS,
             [[r[name] for name in report.COLUMNS] for r in report.records],
         ),
-        emit_plot_data(report, os.path.join(out, "harnack.dat")),
         _write_json(
             os.path.join(out, "harnack.json"),
             {
@@ -554,7 +541,6 @@ def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
             scan.COLUMNS,
             [[row[name] for name in scan.COLUMNS] for row in scan.rows],
         ),
-        emit_plot_data(scan, os.path.join(out, "collapse.dat")),
         _write_json(
             os.path.join(out, "collapse.json"),
             {"dim": scan.dim, "collapsed_trend": scan.collapsed_trend,

@@ -2,11 +2,14 @@
 
 (d/dt + Delta) u = 0 with boundary data grad u . nu = -beta u is solved in
 s = t0 - t, where it becomes the forward heat equation on a growing domain.
-The mesh built on Omega_{t0} is deformed along the trajectory: each
-snapshot's mesh is the t0 mesh plus the harmonic extension of that snapshot's
-boundary displacement, extended once per snapshot, and a substep's vertices
-are the Lagrange interpolant in time of the snapshot meshes.  Each step
-solves the moving-mesh theta-scheme
+The mesh built on Omega_{t0} is deformed along the trajectory.  Before the
+march, each snapshot's mesh is built once: the t0 mesh plus the harmonic
+extension of that snapshot's boundary displacement, with one factor of the
+interior stiffness block for all snapshots.  This is the one place where a
+snapshot curve is placed on the mesh; the diagnostics downstream read the
+motion of these meshes.  The march then only advances u, and a substep's
+vertices are the Lagrange interpolant in time of the snapshot meshes.  Each
+step solves the moving-mesh theta-scheme
 
     (M' + theta ds (K' + C')) u' = (M - (1-theta) ds (K + C)) u,
     C[i,j] = int phi_j (w . grad phi_i)
@@ -203,25 +206,6 @@ class _ReusedLU:
         return x
 
 
-def _harmonic_extension_solver(ops: fem.FemOperators, nb: int):
-    """Interior displacement from boundary displacement via -Delta d = 0."""
-    K = ops.K
-    interior = np.arange(nb, K.shape[0])
-    K_ii = K[interior][:, interior]
-    K_ib = K[interior][:, :nb]
-    solve = spl.factorized(K_ii)
-
-    def extend(d_boundary):
-        d = np.zeros((K.shape[0], 2))
-        d[:nb] = d_boundary
-        rhs = -K_ib @ d_boundary
-        d[nb:, 0] = solve(rhs[:, 0])
-        d[nb:, 1] = solve(rhs[:, 1])
-        return d
-
-    return extend
-
-
 def lagrange_weights(nodes, t):
     """(w, dw): value and derivative weights at t of the interpolating polynomial.
 
@@ -262,8 +246,10 @@ def backward_solve(
     snapshot meshes (i+1, i, i-1), or (i, i-1, i-2) on the t0 interval, and
     linear when there are only two snapshots: piecewise-linear motion leaves
     an O(dt) kink in the boundary velocity that shows up as a spurious
-    boundary layer in u.  So ``meshes[k]`` is snapshot k's extended mesh
-    exactly, whatever the substep count.  The scheme is trapezoidal
+    boundary layer in u.  The snapshot meshes are all built, and their
+    quality checked, before the march, so ``meshes[k]`` is snapshot k's
+    extended mesh exactly, whatever the substep count, and quality warnings
+    precede positivity warnings.  The scheme is trapezoidal
     (THETA = 1/2), not implicit Euler (theta = 1): that is what makes the
     boundary-derivative diagnostics downstream converge -- first-order
     stepping leaves an O(ds) boundary layer in u whose third derivatives do
@@ -281,21 +267,28 @@ def backward_solve(
         raise ConjugateError(f"end data not normalized: int u = {mass0}")
 
     nb = mesh0.n_boundary
-    solver = _ReusedLU()
-    extend = _harmonic_extension_solver(ops0, nb)
     v0, params = mesh0.vertices, mesh0.boundary_param
-    X = [  # each snapshot's mesh; t0's is mesh0 itself
-        v0 + extend(interp_periodic(s.curve.vertices, params) - v0[:nb])
-        for s in snaps[:t0_index]
-    ] + [v0]
+    # each snapshot's mesh: the t0 mesh plus the harmonic extension
+    # (-Delta d = 0) of its boundary displacement; t0's is mesh0 itself
+    K_ib = ops0.K[nb:, :nb]
+    solve_interior = spl.factorized(ops0.K[nb:, nb:])
+    meshes, warnings_ = [], []
+    for k, s in enumerate(snaps[:t0_index]):
+        d_b = interp_periodic(s.curve.vertices, params) - v0[:nb]
+        d_i = solve_interior(-K_ib @ d_b)
+        mesh_k = mesh0.with_vertices(v0 + np.vstack([d_b, d_i]))
+        if mesh_k.min_angle_deg() < 10.0:
+            warnings_.append(
+                f"mesh quality degraded at snapshot {k} "
+                f"(min angle {mesh_k.min_angle_deg():.1f} deg)"
+            )
+        meshes.append(mesh_k)
+    meshes.append(mesh0)
 
-    meshes = [None] * (t0_index + 1)
+    solver = _ReusedLU()
     u_fields = [None] * (t0_index + 1)
-    meshes[t0_index] = mesh0
     u_fields[t0_index] = u_end.copy()
     log = [(snaps[t0_index].t, mass0)]
-    warnings_ = []
-
     verts = v0
     u = u_end.copy()
 
@@ -314,7 +307,7 @@ def backward_solve(
             t_new = sub[j]
             ds = sub[j - 1] - t_new
             w_t, _ = lagrange_weights(nodes, t_new)
-            new_verts = sum(wk * X[k] for wk, k in zip(w_t, ks))
+            new_verts = sum(wk * meshes[k].vertices for wk, k in zip(w_t, ks))
             A, B, m_lumped = assembler.step(new_verts, (new_verts - verts) / ds, ds)
             u = solver.solve(A, B @ u)
             verts = new_verts
@@ -323,13 +316,6 @@ def backward_solve(
         if np.any(u <= 0):
             warnings_.append(f"non-positive u reached at snapshot {i - 1}; clamped")
             u = np.maximum(u, 1e-300)
-        mesh_i = mesh0.with_vertices(X[i - 1])  # where the last substep ended
-        if mesh_i.min_angle_deg() < 10.0:
-            warnings_.append(
-                f"mesh quality degraded at snapshot {i - 1} "
-                f"(min angle {mesh_i.min_angle_deg():.1f} deg)"
-            )
-        meshes[i - 1] = mesh_i
         u_fields[i - 1] = u.copy()
 
     return BackwardSolveState(

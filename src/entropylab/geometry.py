@@ -181,11 +181,7 @@ class PlanarCurve:
 
     @staticmethod
     def circle(radius: float, m: int, center=(0.0, 0.0)) -> "PlanarCurve":
-        th = 2 * np.pi * np.arange(m) / m
-        v = np.column_stack(
-            [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)]
-        )
-        return PlanarCurve(v, check_embedded=False)
+        return PlanarCurve.ellipse(radius, radius, m, center)
 
     @staticmethod
     def ellipse(a: float, b: float, m: int, center=(0.0, 0.0)) -> "PlanarCurve":

@@ -19,7 +19,9 @@ what the identity gaps measure.
 The term functions take arrays (f, u, the curvature and the time
 derivatives along the moving mesh), so closed-form fields can be fed in;
 ``rate_identity_check`` derives each snapshot's arrays once and combines
-them with second-order time stencils.
+them with second-order time stencils.  Where a snapshot's boundary lies is
+read from the backward solve's meshes, never rederived from the curves: the
+boundary velocity is the boundary rows of the mesh velocity.
 
 A snapshot's terms read only its own fields and its stencil neighbours'
 arrays, so ``rate_identity_check`` evaluates the snapshots in one pass on one
@@ -359,8 +361,8 @@ def rate_identity_check(
     # snapshot with a non-positive u is the one reported
     f = [conjugate.f_from_state(state, k) for k in range(n_W)]
     beta = [conjugate.interp_periodic(s.curve.curvature(), params) for s in snaps[:n_W]]
-    xb = [conjugate.interp_periodic(s.curve.vertices, params) for s in snaps[:n_W]]
     mesh = state.meshes[0]
+    nb = mesh.n_boundary
     pattern = fem.P1Pattern(mesh.triangles, mesh.n_vertices)
 
     def evaluate(k):
@@ -370,13 +372,13 @@ def rate_identity_check(
         if k >= n_eval:
             return W, None, False
         ks, wts, one_sided = _ddt_stencil(times, k, state.t0_index)
-        dfdt, vel, dbeta_dt, vel_b = (
-            sum(wj * x[j] for j, wj in zip(ks, wts)) for x in (f, xv, beta, xb)
+        dfdt, vel, dbeta_dt = (
+            sum(wj * x[j] for j, wj in zip(ks, wts)) for x in (f, xv, beta)
         )
         terms = (
             volume_term(ops, f[k], u, tau),
             boundary_term_direct(ops, f[k], dfdt, vel, u, tau),
-            boundary_term_harnack(ops, f[k], beta[k], dbeta_dt, vel_b, u, tau),
+            boundary_term_harnack(ops, f[k], beta[k], dbeta_dt, vel[:nb], u, tau),
         )
         return W, terms, one_sided
 

@@ -11,8 +11,10 @@ lexsorted by (distance, index).  The patch fits and the moving-mesh matrices
 are the earlier einsum/COO forms of the harnack and conjugate kernels; those
 sum in another order, so tests compare them to a tolerance.  The moving-mesh
 substep's solve is the earlier ``spsolve`` from scratch, against which the
-reused-factor solve is held.  The flow step is the earlier ``np.roll`` form
-resampled through scipy's ``CubicSpline``, and the turning guard the
+reused-factor solve is held, and the snapshot meshes' harmonic extension is
+``spsolve`` per displacement component, against which the shared factor's
+two-column solve is held bit for bit.  The flow step is the earlier
+``np.roll`` form resampled through scipy's ``CubicSpline``, and the turning guard the
 standalone form the flow loop now folds into its own segment data.  The polygon-circle clipping and boundary integral go one
 edge and one piece at a time, with the same arithmetic per piece as the
 edge-vectorized kernels, and sum their pieces exactly.  At a near tangency
@@ -200,6 +202,15 @@ def ale_matrices(vertices, triangles, w):
         sp.coo_matrix((e.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         for e in (ke, me, ce)
     )
+
+
+def harmonic_extension(K, nb, d_boundary):
+    """Vertex displacements with the given boundary rows whose interior rows
+    solve -Delta d = 0: ``spsolve`` on the interior block of the stiffness
+    matrix K, one displacement component at a time."""
+    rhs = -K[nb:, :nb] @ d_boundary
+    d_interior = [spl.spsolve(K[nb:, nb:], rhs[:, j]) for j in range(2)]
+    return np.vstack([d_boundary, np.column_stack(d_interior)])
 
 
 class DirectSolve:

@@ -444,6 +444,23 @@ class TestPipelines:
         second = set(os.listdir(cache_dir)) - first
         assert len(second) == 1 and second.pop().startswith("flow-")
 
+    def test_failed_cache_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        class Unpicklable:
+            def __reduce__(self):
+                raise RuntimeError("cannot pickle")
+
+        cache = cli._Cache(str(tmp_path))
+        with pytest.raises(RuntimeError, match="cannot pickle"):
+            cache.get_or_run("flow", {"x": 1}, Unpicklable)
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", no_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cache.get_or_run("flow", {"x": 2}, lambda: 1.0)
+        assert os.listdir(cache.dir) == []
+
     def test_code_fingerprint_covers_numpy_and_scipy(self, monkeypatch):
         base = cli._code_fingerprint()
         assert cli._code_fingerprint() == base
@@ -561,19 +578,3 @@ class TestPipelines:
         assert rc == cli.EXIT_OK
         payload = json.loads((tmp_path / "l1" / "logsobolev.json").read_text())
         assert payload["violations"] == 0
-
-
-class TestPlotData:
-    def test_emit_columns(self, tmp_path):
-        class Report:
-            COLUMNS = ("a", "b")
-
-            def column(self, name):
-                return np.array([1.0, 2.0])
-
-        path = tmp_path / "out.dat"
-        cli.emit_plot_data(Report(), str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# a b"
-        assert len(lines) == 3
-        assert lines[1].split() == ["1", "1"]

@@ -82,13 +82,45 @@ class TestBackwardSolve:
         # snapshot k's boundary displacement, bit for bit
         st = shrinker_state
         mesh0 = st.meshes[-1]
-        nb, v0 = mesh0.n_boundary, mesh0.vertices
-        extend = conjugate._harmonic_extension_solver(fem.assemble(mesh0), nb)
+        nb, v0, K = mesh0.n_boundary, mesh0.vertices, fem.assemble(mesh0).K
         for k in range(st.t0_index):
             b = conjugate.interp_periodic(
                 st.trajectory.snapshots[k].curve.vertices, mesh0.boundary_param
             )
-            assert np.array_equal(st.meshes[k].vertices, v0 + extend(b - v0[:nb]))
+            d = oracles.harmonic_extension(K, nb, b - v0[:nb])
+            assert np.array_equal(st.meshes[k].vertices, v0 + d)
+
+    def test_mesh_boundaries_are_snapshot_curves(self, shrinker_state):
+        # harnack reads each snapshot's boundary motion off the meshes: their
+        # boundary rows are the snapshot curves at boundary_param, to 4 ulp of
+        # the curve's largest coordinate
+        st = shrinker_state
+        nb, params = st.meshes[-1].n_boundary, st.meshes[-1].boundary_param
+        for mesh, snap in zip(st.meshes, st.trajectory.snapshots):
+            b = conjugate.interp_periodic(snap.curve.vertices, params)
+            ulp = np.spacing(np.abs(b).max())
+            assert np.abs(mesh.vertices[:nb] - b).max() <= 4 * ulp
+
+    def test_quality_warning_names_the_squashed_snapshots(self):
+        # the t0 circle squashed into ellipses of aspect up to 4:1, area kept
+        times = np.linspace(0.0, 0.06, 7)
+        snaps = []
+        for k, t in enumerate(times):
+            s = 2.0 ** ((len(times) - 1 - k) / (len(times) - 1))
+            c = PlanarCurve.ellipse(s, 1.0 / s, 128)
+            snaps.append(flow.Snapshot(t, 1.0 - t, c, c.enclosed_area(), c.arc_length()))
+        traj = flow.FlowTrajectory(snaps, 1.0, 1.0)
+        st = conjugate.solve_from_minimizer(traj, h=0.1, steps_per_tau=20)
+        low = [k for k, m in enumerate(st.meshes) if m.min_angle_deg() < 10.0]
+        assert low and len(low) < st.t0_index
+        quality = [
+            f"mesh quality degraded at snapshot {k} "
+            f"(min angle {st.meshes[k].min_angle_deg():.1f} deg)"
+            for k in low
+        ]
+        # the meshes are built before the march, so their warnings come first
+        assert st.warnings[: len(quality)] == quality
+        assert not any("mesh quality" in w for w in st.warnings[len(quality):])
 
     def test_two_snapshots_linear_in_time(self):
         traj = flow.analytic_shrinking_disk_trajectory(1.0, [0.0, 0.02], n_vertices=256)
