@@ -2,9 +2,10 @@
 
 One binary with subcommands {entropy, flow, conjugate, harnack, collapse,
 logsobolev, verify}.  Every run writes a JSON manifest (config echo,
-versions, input hashes, wall time, output list, warnings) atomically at the
-end; CSV outputs serialize floats with 17 significant digits so reruns with
-an identical config and seed are byte-identical.  The harnack pipeline
+versions, input hashes, wall time, output list, warnings, and the error of a
+run that fails with exit 3 or 4) atomically at the end; CSV outputs
+serialize floats with 17 significant digits so reruns with an identical
+config and seed are byte-identical.  The harnack pipeline
 caches its flow and backward-solve stages under a hash of the exact inputs
 that feed them and of the package's code.
 
@@ -321,6 +322,7 @@ class RunManifest:
     input_hashes: dict
     outputs: list
     warnings: list = field(default_factory=list)
+    error: str | None = None  # set when the run failed (exit 3 or 4)
 
     def write(self, path: str):
         _write_json(path, asdict(self))
@@ -529,8 +531,7 @@ def _run_harnack(cfg: RunConfig, out: str, warnings_: list):
 def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
     domain = parse_domain(cfg.domain)
     radii = parse_radii(cfg.radii)
-    dim = domain.dim if isinstance(domain, geometry.AnalyticDomain) else 2
-    centers = parse_centers(cfg.centers, radii, dim)
+    centers = parse_centers(cfg.centers, radii, domain.dim)
     scan = collapse.ratio_scan(
         domain, centers, radii, beta_spec=cfg.beta,
         budget=cfg.budget, seed=cfg.seed,
@@ -551,19 +552,10 @@ def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
 
 def _run_logsobolev(cfg: RunConfig, out: str, warnings_: list):
     curve = _require_curve(parse_domain(cfg.domain))
-    mesh = meshing.triangulate(curve, cfg.h)
-    ops = fem.assemble(mesh)
-    consts = functional.log_sobolev_constants(ops, seed=cfg.seed)
+    ops = fem.assemble(meshing.triangulate(curve, cfg.h))
     eps_list = parse_eps(cfg.eps)
-    rng = np.random.default_rng(cfg.seed)
-    rows, violations = [], 0
-    for i in range(cfg.fields):
-        psi = np.abs(rng.standard_normal(mesh.n_vertices)) + 1e-6
-        phi = psi / np.sqrt(ops.M_lumped @ psi**2)
-        for eps in eps_list:
-            chk = functional.log_sobolev_check(ops, phi, eps, consts["c_S"])
-            violations += not chk["holds"]
-            rows.append((i, eps, chk["lhs"], chk["rhs"], chk["holds"]))
+    consts, rows = functional.log_sobolev_battery(ops, eps_list, cfg.fields, cfg.seed)
+    violations = sum(not holds for *_, holds in rows)
     if violations:
         warnings_.append(f"{violations} log-Sobolev violations")
     return [
@@ -583,12 +575,14 @@ def _run_verify(cfg: RunConfig, out: str, warnings_: list):
     jpath = _write_json(os.path.join(out, f"verify-{cfg.suite}.json"), checks)
     failed = [name for name, c in checks.items() if not c["ok"]]
     if failed:
-        raise AcceptanceFailure(f"suite {cfg.suite!r} failed: {failed}")
+        raise AcceptanceFailure(f"suite {cfg.suite!r} failed: {failed}", [jpath])
     return [jpath]
 
 
 class AcceptanceFailure(RuntimeError):
-    pass
+    def __init__(self, message: str, outputs: list):
+        super().__init__(message)
+        self.outputs = outputs  # the files the failed run wrote
 
 
 def _check(value, tol, ok=None) -> dict:
@@ -713,13 +707,18 @@ _PIPELINES = {
 
 
 def run(cfg: RunConfig) -> RunManifest:
+    """Run the pipeline; write its manifest, also for a failure with exit 3 or 4."""
     cfg.validate()
     out = os.path.join(cfg.out, cfg.tag)
     os.makedirs(out, exist_ok=True)
     warnings_: list = []
     start = time.monotonic()
     pipeline, _, names = _PIPELINES[cfg.subcommand]
-    outputs = pipeline(cfg, out, warnings_)
+    failure = None
+    try:
+        outputs = pipeline(cfg, out, warnings_)
+    except (AcceptanceFailure,) + _NUMERICAL_ERRORS as e:
+        failure, outputs = e, getattr(e, "outputs", [])
     if cfg.subcommand == "verify":
         names = ("suite",) + _SUITES[cfg.suite][1]
     # echo only the settings the run read
@@ -737,8 +736,11 @@ def run(cfg: RunConfig) -> RunManifest:
         input_hashes={"config": _hash_obj(config)},
         outputs=[os.path.relpath(p, out) for p in outputs],
         warnings=warnings_,
+        error=None if failure is None else f"{type(failure).__name__}: {failure}",
     )
     manifest.write(os.path.join(out, "manifest.json"))
+    if failure is not None:
+        raise failure
     return manifest
 
 

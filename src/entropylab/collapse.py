@@ -358,7 +358,7 @@ def ratio_scan(domain, centers, radii, beta_spec="zero",
         centers = centers * len(radii)
     if len(centers) != len(radii):
         raise CollapseError("centers and radii must pair up")
-    dim = domain.dim if isinstance(domain, AnalyticDomain) else 2
+    dim = domain.dim
 
     # a volume depends only on (center, radius) here, so each is computed
     # once: on dyadic radii every half ball is the previous row's full ball

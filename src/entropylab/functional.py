@@ -1,22 +1,22 @@
-"""Boundary entropy functional W_beta and the associated bounds.
+"""W_beta, the energy the minimizer descends, and the bounds on mu_beta.
 
-All volume quadratures are phrased in terms of phi = sqrt(u): the gradient
-term uses the stiffness pairing 4*tau*phi'K phi (exact continuum identity
-|grad f|^2 u = 4|grad phi|^2), the remaining volume integrals use the lumped
-mass, and the pointwise field W = tau(2*lap f - |grad f|^2) + f - 2 is
-evaluated in its equivalent form -4*tau*(lap phi)/phi + f - 2 with the weak
-Laplacian carrying the Robin data 2<grad phi, nu> = -beta*phi.  With these
-choices the discrete integration-by-parts identity int W u = W_beta holds to
-rounding for every f and beta.
+``energy`` is W_beta in phi = sqrt(u) form: the gradient term is the
+stiffness pairing 4*tau*phi'K phi (exact continuum identity |grad f|^2 u =
+4|grad phi|^2), the remaining volume integrals use the lumped mass.  The
+minimizer descends it and ``w_beta`` reports it, with the pointwise field
+W = tau(2*lap f - |grad f|^2) + f - 2 evaluated as -4*tau*(lap phi)/phi +
+f - 2, the weak Laplacian carrying the Robin data 2<grad phi, nu> =
+-beta*phi.  So int W u = W_beta holds to rounding for every f and beta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
+from . import collapse
 from .fem import FemOperators, triangle_gradients
 
 N_PLUS_1 = 2  # ambient dimension for all PDE work
@@ -33,10 +33,7 @@ class EntropyReport:
     w_beta: float
     normalization: float
     W_field: np.ndarray
-    ibp_value: float
-    ibp_gap: float
-    shift: float = 0.0
-    parts: dict = field(default_factory=dict)
+    ibp_gap: float  # |W_beta - int W u|
 
 
 def u_from_f(f, tau: float) -> np.ndarray:
@@ -75,19 +72,35 @@ def _beta_full(ops: FemOperators, beta) -> np.ndarray:
     return b
 
 
-def w_beta(ops: FemOperators, f, tau: float, beta, pre_normalized: bool = False):
+def _log_u(phi):
+    p = np.maximum(np.abs(phi), 1e-300)
+    return 2.0 * np.log(p)
+
+
+def energy(ops: FemOperators, phi, tau: float, b) -> float:
+    """W_beta at u = phi^2 (int phi^2 = 1), b the ``_beta_full`` array.  The
+    minimizer's line search compares its values, so its iteration counts
+    depend on this arithmetic to rounding."""
+    logu = _log_u(phi)
+    return float(
+        4.0 * tau * float(phi @ (ops.K @ phi))
+        - float(ops.M_lumped @ (phi**2 * logu))
+        + 2.0 * tau * float(ops.boundary_weights @ (b * phi**2))
+        - N_PLUS_1
+        - (N_PLUS_1 / 2.0) * np.log(4.0 * np.pi * tau)
+    )
+
+
+def w_beta(ops: FemOperators, f, tau: float, beta):
     """Evaluate W_beta(Omega, f, tau) and the nodal field W on a fixed mesh.
 
     beta is the prescribed normal derivative of f on the boundary, given as a
-    scalar or per-boundary-vertex array.  Unless pre_normalized, f is shifted
-    so the lumped mass of u is 1 and the shift is recorded in the report.
+    scalar or per-boundary-vertex array.  f is first shifted so the lumped
+    mass of u is 1; the value is ``energy`` at phi = sqrt(u).
     """
     if tau <= 0:
         raise FunctionalError(f"tau must be positive, got {tau}")
-    f = np.asarray(f, dtype=float)
-    shift = 0.0
-    if not pre_normalized:
-        f, shift = normalize(ops, f, tau)
+    f, _ = normalize(ops, f, tau)
     u = u_from_f(f, tau)
     mass = float(ops.M_lumped @ u)
     if abs(mass - 1.0) > 1e-6:
@@ -95,15 +108,10 @@ def w_beta(ops: FemOperators, f, tau: float, beta, pre_normalized: bool = False)
 
     phi = np.sqrt(u)
     b = _beta_full(ops, beta)
-    w = ops.boundary_weights
-
-    grad_term = 4.0 * tau * float(phi @ (ops.K @ phi))
-    potential = float(ops.M_lumped @ (u * (f - N_PLUS_1)))
-    boundary = 2.0 * tau * float(w @ (b * u))
-    value = grad_term + potential + boundary
+    value = energy(ops, phi, tau, b)
 
     # weak Laplacian of phi with Robin data 2<grad phi, nu> = -beta*phi
-    lap_phi = (-0.5 * w * b * phi - ops.K @ phi) / ops.M_lumped
+    lap_phi = (-0.5 * ops.boundary_weights * b * phi - ops.K @ phi) / ops.M_lumped
     phi_safe = np.maximum(phi, np.sqrt(_U_FLOOR))
     W_field = -4.0 * tau * lap_phi / phi_safe + f - N_PLUS_1
 
@@ -112,14 +120,7 @@ def w_beta(ops: FemOperators, f, tau: float, beta, pre_normalized: bool = False)
         w_beta=value,
         normalization=mass,
         W_field=W_field,
-        ibp_value=ibp_value,
         ibp_gap=abs(value - ibp_value),
-        shift=shift,
-        parts={
-            "gradient": grad_term,
-            "potential": potential,
-            "boundary": boundary,
-        },
     )
 
 
@@ -226,6 +227,22 @@ def log_sobolev_check(ops: FemOperators, phi, eps: float, c_S: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs)}
 
 
+def log_sobolev_battery(ops: FemOperators, eps_list, fields: int, seed: int = 0):
+    """(constants, rows): the check on ``fields`` mass-normalized fields
+    |N(0, 1)| + 1e-6 drawn with ``seed``, one (field, eps, lhs, rhs, holds)
+    row per field and eps; the constants are estimated with ``seed`` too."""
+    consts = log_sobolev_constants(ops, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(fields):
+        psi = np.abs(rng.standard_normal(ops.mesh.n_vertices)) + 1e-6
+        phi = psi / np.sqrt(ops.M_lumped @ psi**2)
+        for eps in eps_list:
+            chk = log_sobolev_check(ops, phi, eps, consts["c_S"])
+            rows.append((i, eps, chk["lhs"], chk["rhs"], chk["holds"]))
+    return consts, rows
+
+
 def lower_bound_rhs(tau: float, sup_beta: float, constants: dict):
     """Lower bound for mu_beta(Omega, tau), constants assembled step by step.
 
@@ -271,17 +288,14 @@ def volume_ratio_upper_bound(domain, beta, center, r: float) -> dict:
               + C_cut V(Omega n B_r) / V(Omega n B_{r/2})
               + 2 r^2 int_{bdry n B_r} |beta| dS / V(Omega n B_{r/2})
 
-    with d = n+1 and C_cut = sup 4 r^2 |grad zeta|^2 / zeta = 16 pi^2.
+    with d = n+1 and C_cut = sup 4 r^2 |grad zeta|^2 / zeta = 16 pi^2, on
+    ``collapse.ratio_scan``'s row for (center, r).
     """
-    from . import collapse
-
-    d = getattr(domain, "dim", N_PLUS_1)
-    center = np.asarray(center, dtype=float)
-    v_r, _ = collapse.ball_intersection_volume(domain, center, r)
-    v_half, _ = collapse.ball_intersection_volume(domain, center, r / 2.0)
-    if v_half <= 1e-12 * (r / 2.0) ** d:  # exact clipping leaves roundoff dust
+    row = collapse.ratio_scan(domain, [center], [r], beta_spec=beta).rows[0]
+    if row["empty_half_ball"]:
         raise FunctionalError("empty half-ball: V(Omega n B_{r/2}) = 0")
-    b_int = collapse.boundary_beta_integral(domain, center, r, beta)
+    v_r, v_half, b_int = row["V_full"], row["V_half"], row["beta_integral"]
+    d = domain.dim
 
     log_term = float(np.log(v_r) - (d / 2.0) * np.log(4.0 * np.pi * r**2))
     grad_term = CUTOFF_CONSTANT * v_r / v_half

@@ -85,6 +85,7 @@ class PlanarCurve:
 
     vertices: np.ndarray
     check_embedded: bool = True
+    dim = 2  # a class attribute, not a field: the ambient dimension
 
     def __post_init__(self):
         self.vertices = _as_vertex_array(self.vertices)
@@ -405,19 +406,16 @@ class AnalyticDomain:
 # -- domain description files -------------------------------------------
 
 
-def load_domain(path_or_obj):
-    """Load a domain description: polyline curve or analytic variant.
+def load_domain(path):
+    """Load a domain description file: polyline curve or analytic variant.
 
     JSON schema: {"type": "polyline", "vertices": [[x, y], ...]} or
     {"type": "analytic", "variant": "...", "params": {...}}, where params
     are the keyword arguments of the variant's AnalyticDomain constructor.
     A clockwise polyline is reversed, keeping its vertex 0 first.
     """
-    if isinstance(path_or_obj, dict):
-        obj = path_or_obj
-    else:
-        with open(path_or_obj) as fh:
-            obj = json.load(fh)
+    with open(path) as fh:
+        obj = json.load(fh)
     if not isinstance(obj, dict):
         raise GeometryError(f"a domain is a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")

@@ -430,17 +430,12 @@ def _d2(a, dx, axis):
     ) / (12.0 * dx**2)
 
 
-def _grid_fields(X, Y, tau, centers):
+def _grid_W(X, Y, tau, centers, dx):
     u = np.zeros_like(X)
     for (cx, cy) in centers:
         u += np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (4.0 * tau))
     u /= len(centers) * 4.0 * np.pi * tau
     f = -np.log(u) - np.log(4.0 * np.pi * tau)
-    return u, f
-
-
-def _grid_W(X, Y, tau, centers, dx):
-    _, f = _grid_fields(X, Y, tau, centers)
     fx, fy = _d1(f, dx, 0), _d1(f, dx, 1)
     lap = _d2(f, dx, 0) + _d2(f, dx, 1)
     return tau * (2.0 * lap - (fx**2 + fy**2)) + f - 2.0, f, fx, fy
@@ -463,8 +458,8 @@ def appendix_c_residual(
     X, Y = np.meshgrid(x, x, indexing="ij")
 
     W0, f, fx, fy = _grid_W(X, Y, tau, centers, dx)
-    Wp = _grid_W(X, Y, tau - dt, centers, dx)[0]  # t + dt means tau - dt
-    Wm = _grid_W(X, Y, tau + dt, centers, dx)[0]
+    Wp, fp = _grid_W(X, Y, tau - dt, centers, dx)[:2]  # t + dt means tau - dt
+    Wm, fm = _grid_W(X, Y, tau + dt, centers, dx)[:2]
     Wt = (Wp - Wm) / (2.0 * dt)
 
     fxx, fyy = _d2(f, dx, 0), _d2(f, dx, 1)
@@ -481,14 +476,10 @@ def appendix_c_residual(
     win = (slice(m, -m), slice(m, -m))
     perelman = float(np.abs(lhs[win] - rhs[win]).max())
 
-    # w-equation, d/dt = partial_t - grad f . grad
-    def w_of(tau_):
-        Wv, f_, fx_, fy_ = _grid_W(X, Y, tau_, centers, dx)
-        lap_ = _d2(f_, dx, 0) + _d2(f_, dx, 1)
-        return 2.0 * lap_ - (fx_**2 + fy_**2) - 2.0 / tau_
-
-    w0 = w_of(tau)
-    wt = (w_of(tau - dt) - w_of(tau + dt)) / (2.0 * dt)
+    # w-equation, d/dt = partial_t - grad f . grad; on the same stencils
+    # w = 2 Lap f - |grad f|^2 - 2/tau is (W - f) / tau
+    w0 = (W0 - f) / tau
+    wt = ((Wp - fp) / (tau - dt) - (Wm - fm) / (tau + dt)) / (2.0 * dt)
     wx, wy = _d1(w0, dx, 0), _d1(w0, dx, 1)
     lapw = _d2(w0, dx, 0) + _d2(w0, dx, 1)
     hess2 = fxx**2 + 2.0 * fxy**2 + fyy**2

@@ -5,11 +5,11 @@ mu_beta(Omega, tau) is computed by minimizing
     E(phi) = int (4 tau |grad phi|^2 - phi^2 log phi^2)
              + 2 tau int_bdry beta phi^2 - 2 - log(4 pi tau)
 
-over phi > 0 with lumped-mass normalization int phi^2 = 1.  The discrete
-quadratures match w_beta exactly, so E(phi) coincides with
-W_beta(f(phi), tau) to rounding.  Descent directions are preconditioned by
-the operator M + 8 tau K (+ boundary part), which keeps the iteration count
-essentially independent of the mesh size.
+over phi > 0 with lumped-mass normalization int phi^2 = 1.  E is
+``functional.energy``, the same implementation that ``w_beta`` reports, and
+the closing mu is ``w_beta`` at f_min.  Descent directions are
+preconditioned by the operator M + 8 tau K (+ boundary part), which keeps
+the iteration count essentially independent of the mesh size.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
 from .fem import FemOperators, recover_gradient
-from .functional import N_PLUS_1, FunctionalError, _beta_full, w_beta
+from .functional import N_PLUS_1, FunctionalError, _beta_full, _log_u, energy, w_beta
 
 PHI_FLOOR_REL = 1e-12
 
@@ -32,6 +32,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class MinimizerResult:
+    """el_residual is the M^-1 norm of the constrained gradient g - 2 lam M phi.
+    w_beta's W field is g / (2 M phi) - (1 + log 4 pi tau) at every vertex,
+    so W_constancy, the u-weighted standard deviation of W, is el_residual / 2
+    to rounding."""
+
     phi: np.ndarray
     mu: float
     f_min: np.ndarray
@@ -40,24 +45,7 @@ class MinimizerResult:
     converged: bool
     iterations: int
     mu_multiplier: float = 0.0
-    floored_fraction: float = 0.0
     warnings: list = field(default_factory=list)
-
-
-def _log_u(phi):
-    p = np.maximum(np.abs(phi), 1e-300)
-    return 2.0 * np.log(p)
-
-
-def _energy_raw(ops, phi, tau, bfull, w):
-    logu = _log_u(phi)
-    return (
-        4.0 * tau * float(phi @ (ops.K @ phi))
-        - float(ops.M_lumped @ (phi**2 * logu))
-        + 2.0 * tau * float(w @ (bfull * phi**2))
-        - N_PLUS_1
-        - (N_PLUS_1 / 2.0) * np.log(4.0 * np.pi * tau)
-    )
 
 
 def _gradient(ops, phi, tau, bfull, w):
@@ -106,7 +94,7 @@ def minimize(
     solve = spl.factorized(precond)
 
     warnings_ = []
-    e = _energy_raw(ops, phi, tau, bfull, w)
+    e = energy(ops, phi, tau, bfull)
     converged = False
     floored = 0.0
     it = 0
@@ -135,7 +123,7 @@ def minimize(
             n_floored = int(np.count_nonzero(cand < floor))
             cand = np.maximum(cand, floor)
             cand = _mass_normalize(ops, cand)
-            e_new = _energy_raw(ops, cand, tau, bfull, w)
+            e_new = energy(ops, cand, tau, bfull)
             # the 1e-14 slack is load-bearing: near convergence 1e-4 alpha
             # slope (~1e-20) is far below the rounding of e (~1e-14), and
             # without the slack the full step is refused on rounding alone;
@@ -167,7 +155,7 @@ def minimize(
     mu_multiplier = lam - 1.0 - (N_PLUS_1 / 2.0) * np.log(4.0 * np.pi * tau)
 
     f_min = -_log_u(phi) - (N_PLUS_1 / 2.0) * np.log(4.0 * np.pi * tau)
-    report = w_beta(ops, f_min, tau, beta, pre_normalized=True)
+    report = w_beta(ops, f_min, tau, beta)
     u = phi**2
     mean = float(ops.M_lumped @ (u * report.W_field))
     var = float(ops.M_lumped @ (u * (report.W_field - mean) ** 2))
@@ -180,7 +168,6 @@ def minimize(
         converged=converged,
         iterations=it,
         mu_multiplier=mu_multiplier,
-        floored_fraction=floored,
         warnings=warnings_,
     )
 

@@ -21,8 +21,10 @@ edge-vectorized kernels, and sum their pieces exactly.  At a near tangency
 a crossing's parameter is ill-conditioned, so the reference forms each
 edge's a.d and discriminant exactly, where the kernels compensate.  The
 Monte Carlo volume draws, scales and tests each replicate's points in one
-piece.  The ellipse's curvature and the cos^2 cutoff profile are closed
-forms that only tests evaluate.
+piece.  W_beta in the f form sums the gradient, potential and boundary
+terms of a normalized f, where the library evaluates one energy in the
+phi = sqrt(u) form.  The ellipse's curvature and the cos^2 cutoff profile
+are closed forms that only tests evaluate.
 """
 
 import math
@@ -33,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 from scipy.interpolate import CubicSpline
 
-from entropylab import flow
+from entropylab import flow, functional
 
 
 def points_polyline_distance(points, loop, chunk=4096):
@@ -378,3 +380,17 @@ def cutoff_profile(rho, r):
     """zeta(rho) = cos^2(pi (rho - r/2) / r) on r/2 <= rho <= r: 1 inside, 0 outside."""
     s = np.clip((np.asarray(rho, dtype=float) - r / 2.0) / (r / 2.0), 0.0, 1.0)
     return np.cos(np.pi * s / 2.0) ** 2
+
+
+def w_beta_f_form(ops, f, tau, beta):
+    """W_beta = int (tau |grad f|^2 + f - 2) u + 2 tau int_bdry beta u, with
+    u = e^{-f}/(4 pi tau) after normalizing f and tau |grad f|^2 u written
+    4 tau |grad phi|^2 on the stiffness pairing."""
+    f, _ = functional.normalize(ops, f, tau)
+    u = functional.u_from_f(f, tau)
+    phi = np.sqrt(u)
+    b = functional._beta_full(ops, beta)
+    grad_term = 4.0 * tau * float(phi @ (ops.K @ phi))
+    potential = float(ops.M_lumped @ (u * (f - 2.0)))
+    boundary = 2.0 * tau * float(ops.boundary_weights @ (b * u))
+    return grad_term + potential + boundary

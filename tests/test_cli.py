@@ -180,6 +180,7 @@ class TestPipelines:
         assert manifest["input_hashes"]["config"] == cli._hash_obj(manifest["config"])
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "entropylab"}
         assert "entropy.csv" in manifest["outputs"]
+        assert manifest["error"] is None
 
     def test_verify_manifest_echoes_the_running_suite(self, tmp_path, monkeypatch, capsys):
         passing = {"check": {"value": 0.0, "tol": 1.0, "ok": True}}
@@ -207,6 +208,44 @@ class TestPipelines:
         assert err.startswith("acceptance failure:") and repr(failed) in err
         checks = json.loads((tmp_path / "v" / f"verify-{suite}.json").read_text())
         assert [name for name, c in checks.items() if not c["ok"]] == [failed]
+
+    def test_failed_suite_writes_its_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(collapse, "shrinking_sphere_ratio", lambda *args: 0.0)
+        argv = ["verify", "--suite", "collapse", "--budget", "10000",
+                "--out", str(tmp_path), "--tag", "v"]
+        assert cli.main(argv) == cli.EXIT_ACCEPTANCE
+        manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+        assert manifest["config"]["suite"] == "collapse"
+        assert manifest["config"]["budget"] == 10000
+        assert manifest["error"].startswith("AcceptanceFailure:")
+        assert "shrinking_sphere_c_rel_err" in manifest["error"]
+        assert manifest["outputs"] == ["verify-collapse.json"]
+
+    def test_numerical_failure_writes_its_manifest(self, tmp_path, monkeypatch, capsys):
+        real = cli.flow.run_flow
+
+        def truncated(*args):
+            traj = real(*args)
+            traj.truncated = True
+            traj.meta["truncation"] = "embedding"
+            return traj
+
+        def fails(*args, **kwargs):
+            raise cli.harnack.HarnackError("no snapshot left to evaluate")
+
+        monkeypatch.setattr(cli.flow, "run_flow", truncated)
+        monkeypatch.setattr(cli.harnack, "rate_identity_check", fails)
+        argv = ["harnack", "--skip", "0", "--domain", "disk:1", "--vertices", "128",
+                "--frac", "0.3", "--snapshots", "6", "--h", "0.1",
+                "--steps-per-tau", "50", "--out", str(tmp_path), "--tag", "h"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure in harnack:")
+        manifest = json.loads((tmp_path / "h" / "manifest.json").read_text())
+        assert manifest["config"]["steps_per_tau"] == 50.0
+        assert manifest["config"]["vertices"] == 128
+        assert manifest["error"] == "HarnackError: no snapshot left to evaluate"
+        assert any("embedding guard" in w for w in manifest["warnings"])
+        assert manifest["outputs"] == []
 
     def test_unknown_suite_rejected_before_the_run_directory(self, tmp_path):
         cfg = cli.RunConfig(subcommand="verify", suite="nope", out=str(tmp_path), tag="v")

@@ -179,11 +179,15 @@ class TestLoadDomain:
         assert isinstance(loaded, PlanarCurve)
         assert len(loaded) == 32
 
-    def test_analytic_from_dict(self):
-        d = load_domain({"type": "analytic", "variant": "slab", "params": {"d": 1.0}})
+    def test_analytic_from_dict(self, tmp_path):
+        p = tmp_path / "slab.json"
+        p.write_text('{"type": "analytic", "variant": "slab", "params": {"d": 1.0}}')
+        d = load_domain(str(p))
         assert isinstance(d, AnalyticDomain)
         assert d.variant == "slab"
 
-    def test_unknown_type_rejected(self):
+    def test_unknown_type_rejected(self, tmp_path):
+        p = tmp_path / "voxels.json"
+        p.write_text('{"type": "voxels"}')
         with pytest.raises((GeometryError, KeyError, ValueError)):
-            load_domain({"type": "voxels"})
+            load_domain(str(p))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from entropylab import fem, functional as fn, minimizer as mz
 from entropylab.geometry import PlanarCurve
 from entropylab.meshing import triangulate
@@ -44,13 +45,27 @@ class TestDiskOracle:
         assert disk_result.mu_multiplier == pytest.approx(disk_result.mu, abs=1e-8)
 
     def test_energy_agrees_with_w_beta(self, disk_ops, disk_result):
-        # the energy the line search descends is W_beta of f = -log(phi^2 4 pi tau)
+        # the energy the line search descends is W_beta of f = -log(phi^2 4 pi tau),
+        # summed in the f form
         phi = disk_result.phi
-        bfull = fn._beta_full(disk_ops, 1.0)
-        e = mz._energy_raw(disk_ops, phi, TAU, bfull, disk_ops.boundary_weights)
+        e = fn.energy(disk_ops, phi, TAU, fn._beta_full(disk_ops, 1.0))
         f = -2.0 * np.log(phi) - np.log(4.0 * np.pi * TAU)
-        w = fn.w_beta(disk_ops, f, TAU, 1.0, pre_normalized=True).w_beta
-        assert e == pytest.approx(w, abs=1e-12)
+        assert e == pytest.approx(oracles.w_beta_f_form(disk_ops, f, TAU, 1.0), abs=1e-12)
+        assert disk_result.mu == pytest.approx(e, abs=1e-13)
+
+    def test_w_constancy_is_half_the_el_residual(self, disk_ops, disk_result):
+        # w_beta's weak-Laplacian W field is the minimizer's gradient g over
+        # 2 M phi, shifted by 1 + log 4 pi tau, so its u-weighted spread is
+        # |g - 2 lam M phi|_{M^-1} / 2
+        phi = disk_result.phi
+        g = mz._gradient(disk_ops, phi, TAU, fn._beta_full(disk_ops, 1.0),
+                         disk_ops.boundary_weights)
+        W = fn.w_beta(disk_ops, disk_result.f_min, TAU, 1.0).W_field
+        from_g = g / (2.0 * disk_ops.M_lumped * phi) - 1.0 - np.log(4.0 * np.pi * TAU)
+        assert np.abs(W - from_g).max() < 1e-10  # rounding, divided by M
+        assert disk_result.W_constancy == pytest.approx(
+            disk_result.el_residual / 2.0, rel=1e-4, abs=1e-13
+        )
 
 
 class TestRobustness:
