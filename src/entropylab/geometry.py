@@ -379,16 +379,16 @@ class AnalyticDomain:
         if self.variant in ("grim_reaper_2d", "grim_reaper_product"):
             # region G in the last two coordinates, free in the others
             xn, xz = x[:, -2], x[:, -1]
-            inside = np.abs(xn) < np.pi / 2
-            out = np.zeros(len(x), dtype=bool)
-            out[inside] = xz[inside] > -np.log(np.cos(xn[inside]))
-            return out
+            # here and for the catenoid every row is evaluated, and the
+            # region mask discards the rows where log cos or arccosh is
+            # undefined; the ufuncs act element by element, so no in-region
+            # row's value depends on the other rows
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return (np.abs(xn) < np.pi / 2) & (xz > -np.log(np.cos(xn)))
         if self.variant == "catenoid_3d":
             rho = np.hypot(x[:, 0], x[:, 1])
-            inside = rho >= 1.0
-            out = np.zeros(len(x), dtype=bool)
-            out[inside] = np.abs(x[inside, 2]) <= np.arccosh(rho[inside])
-            return out
+            with np.errstate(invalid="ignore"):
+                return (rho >= 1.0) & (np.abs(x[:, 2]) <= np.arccosh(rho))
 
     # boundary data --------------------------------------------------------
 

@@ -21,9 +21,10 @@ edge-vectorized kernels, and sum their pieces exactly.  At a near tangency
 a crossing's parameter is ill-conditioned, so the reference forms each
 edge's a.d and discriminant exactly, where the kernels compensate.  The
 Monte Carlo volume draws, scales and tests each replicate's points in one
-piece.  W_beta in the f form sums the gradient, potential and boundary
-terms of a normalized f, where the library evaluates one energy in the
-phi = sqrt(u) form.  The ellipse's curvature and the cos^2 cutoff profile
+piece, and tests analytic membership by the masked gather and scatter that
+the library replaces with one pass over every row.  W_beta in the f form
+sums the gradient, potential and boundary terms of a normalized f, where
+the library evaluates one energy in the phi = sqrt(u) form.  The ellipse's curvature and the cos^2 cutoff profile
 are closed forms that only tests evaluate.
 """
 
@@ -343,9 +344,40 @@ def polyline_boundary_integral(vertices, beta, center, r):
     return math.fsum(terms)
 
 
+def analytic_contains(domain, points):
+    """Membership in an AnalyticDomain.  The grim reapers and the catenoid
+    gather the rows inside the region where log cos x_n or arccosh rho is
+    defined, evaluate there, and scatter into a False column."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    v, p = domain.variant, domain.params
+    if v == "disk":
+        return np.hypot(x[:, 0] - p[1], x[:, 1] - p[2]) < p[0]
+    if v == "ball":
+        return np.linalg.norm(x, axis=1) < p[0]
+    if v == "half_plane":
+        return x[:, -1] < p[0]
+    if v == "slab":
+        return np.abs(x[:, -1]) < p[0]
+    if v == "ellipse":
+        return (x[:, 0] / p[0]) ** 2 + (x[:, 1] / p[1]) ** 2 < 1.0
+    out = np.zeros(len(x), dtype=bool)
+    if v in ("grim_reaper_2d", "grim_reaper_product"):
+        xn, xz = x[:, -2], x[:, -1]
+        region = np.abs(xn) < np.pi / 2
+        out[region] = xz[region] > -np.log(np.cos(xn[region]))
+        return out
+    if v == "catenoid_3d":
+        rho = np.hypot(x[:, 0], x[:, 1])
+        region = rho >= 1.0
+        out[region] = np.abs(x[region, 2]) <= np.arccosh(rho[region])
+        return out
+    raise ValueError(f"no membership oracle for {v!r}")
+
+
 def ball_intersection_volume_mc(domain, center, r, budget, seed):
     """V(Omega n B_r) by scrambled Sobol sampling, each replicate's points
-    drawn, scaled and tested in one piece."""
+    drawn, scaled and tested in one piece, membership by
+    ``analytic_contains``."""
     from scipy.stats import qmc
 
     from entropylab import collapse
@@ -362,7 +394,7 @@ def ball_intersection_volume_mc(domain, center, r, budget, seed):
     for k in range(collapse.N_REPLICATES):
         sob = qmc.Sobol(d=dim, scramble=True, seed=base + k)
         pts = lo + sob.random_base2(m_bits) * (hi - lo)
-        inside = domain.contains(pts)
+        inside = analytic_contains(domain, pts)
         inside &= np.linalg.norm(pts - center, axis=1) < r
         means.append(inside.mean() * box_vol)
     value = float(np.mean(means))

@@ -379,6 +379,29 @@ class TestPipelines:
         assert err.count("\n") == 1
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("domain, radii", [
+        ("analytic:slab:1:2", "list:1e160"),
+        ("ellipse:1.2:0.8", "list:1e160"),
+        ("analytic:catenoid_3d", "list:1e160"),
+        ("analytic:slab:1:2", "list:1e-200"),
+    ], ids=["slab_overflow", "polygon_overflow", "catenoid_overflow", "underflow"])
+    def test_radius_power_out_of_normal_range_exits_2(self, domain, radii, tmp_path,
+                                                      capsys):
+        rc = cli.main(["collapse", "--domain", domain, "--radii", radii,
+                       "--budget", "1000", "--out", str(tmp_path / "runs")])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input for collapse: ") and "Traceback" not in err
+        assert "positive normal floats" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_huge_planar_radius_runs(self, tmp_path, capsys):
+        assert cli.main(["collapse", "--domain", "analytic:slab:1:2", "--radii",
+                         "list:1e150", "--budget", "1000", "--out", str(tmp_path),
+                         "--tag", "big"]) == cli.EXIT_OK
+        rows = (tmp_path / "big" / "collapse.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("9.9999999999999998e+149,")
+
     def test_beta_file_needs_one_finite_value_per_boundary_vertex(self, tmp_path, capsys):
         n = meshing.triangulate(cli.parse_domain("disk:1"), 0.1).n_boundary
         path = tmp_path / "beta.txt"

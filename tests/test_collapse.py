@@ -240,6 +240,22 @@ class TestRatioScan:
         with pytest.raises(collapse.CollapseError):
             collapse.ratio_scan(c, [(0, 0), (1, 0)], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("domain, r", [
+        (AnalyticDomain.slab(1.0, dim=2), 1e160),  # r^2 overflows
+        (PlanarCurve.ellipse(1.2, 0.8, 64), 1e160),
+        (AnalyticDomain.catenoid_3d(), 1e110),  # r^3 overflows
+        (AnalyticDomain.slab(1.0, dim=2), 1e-200),  # r^2 underflows to 0
+        (PlanarCurve.ellipse(1.2, 0.8, 64), 1e-154),  # (r/2)^2 is subnormal
+    ], ids=["slab_overflow", "polygon_overflow", "catenoid_overflow",
+            "slab_underflow", "polygon_subnormal"])
+    def test_radius_power_out_of_normal_range(self, monkeypatch, domain, r):
+        def never(*args):
+            raise AssertionError("a volume was computed")
+
+        monkeypatch.setattr(collapse, "ball_intersection_volume", never)
+        with pytest.raises(collapse.CollapseError, match="positive normal floats"):
+            collapse.ratio_scan(domain, [np.zeros(domain.dim)], [1.0, r])
+
 
 class TestShrinkingSphere:
     def test_reference_value(self):

@@ -21,7 +21,9 @@ fresh QUAD_K query's.  The flow's folded turning guard is the oracle's
 arithmetic on the same edge data, bit for bit.  The edge-vectorized
 clipping kernels are held to their per-edge oracles to 1e-13 relative (1e-15
 absolute near zero), and the blocked Monte Carlo volume to the one-shot one,
-bit for bit.
+bit for bit.  Analytic membership must be the gather-and-scatter oracle's on
+every variant, bit for bit, with no RuntimeWarning from the rows outside
+the region where log cos x_n or arccosh rho is defined.
 """
 
 import tracemalloc
@@ -591,7 +593,51 @@ def _clip_case(rng, m, grid, kind):
     return v, beta, c, max(r, 1e-3)
 
 
+# one domain per analytic variant, each in its highest tested dimension
+ANALYTIC_EXAMPLES = {
+    "disk": AnalyticDomain.disk(1.5, (0.5, -0.25)),
+    "half_plane": AnalyticDomain.half_plane(0.5),
+    "slab": AnalyticDomain.slab(1.0, dim=3),
+    "grim_reaper_2d": AnalyticDomain.grim_reaper_2d(),
+    "grim_reaper_product": AnalyticDomain.grim_reaper_product(2),
+    "catenoid_3d": AnalyticDomain.catenoid_3d(),
+    "ball": AnalyticDomain.ball(2.0, dim=3),
+    "ellipse": AnalyticDomain.ellipse(1.2, 0.8),
+}
+
+
+def _membership_points(rng, domain, n=10**5):
+    """n uniform points in [-4, 4]^dim, where the grim reapers' x_n has
+    |x_n| >= pi/2 and the catenoid's rho < 1 on about 60% and 5% of the rows,
+    then rows on the boundary, at the region's edge and with inf or nan."""
+    pts = rng.uniform(-4.0, 4.0, (n, domain.dim))
+    edge = np.array([np.pi / 2, np.nextafter(np.pi / 2, 4.0), 1.0, np.nextafter(1.0, 0.0)])
+    xn = rng.uniform(-1.5, 1.5, 64)
+    rho = rng.uniform(1.0, 4.0, 64)
+    special = np.zeros((4 * len(edge) + 2 * 64 + 3, domain.dim))
+    special[:2 * len(edge), -2] = np.concatenate([edge, -edge])
+    special[2 * len(edge):4 * len(edge), 0] = np.concatenate([edge, -edge])
+    k = 4 * len(edge)
+    special[k:k + 64, -2:] = np.column_stack([xn, -np.log(np.cos(xn))])  # on G's curve
+    special[k + 64:k + 128, 0] = rho
+    special[k + 64:k + 128, -1] = np.arccosh(rho)  # on the catenoid
+    special[-3:] = np.array([np.inf, -np.inf, np.nan])[:, None]
+    return np.concatenate([pts, special])
+
+
 class TestCollapseAgainstOracles:
+    @pytest.mark.parametrize("variant", sorted(geometry.ANALYTIC_VARIANTS))
+    def test_analytic_contains(self, variant):
+        domain = ANALYTIC_EXAMPLES[variant]
+        pts = _membership_points(np.random.default_rng(11), domain)
+        ref = oracles.analytic_contains(domain, pts)
+        assert 0 < np.count_nonzero(ref) < len(pts)
+        # row-major rows, and the column-major block that _count_inside passes
+        for x in (pts, np.asfortranarray(pts)):
+            got = domain.contains(x)
+            assert got.dtype == bool and got.shape == (len(pts),)
+            assert np.array_equal(got, ref)
+
     @given(m=st.integers(3, 80), seed=st.integers(0, 2**32 - 1),
            grid=st.sampled_from([0, 4, 16]),
            kind=st.sampled_from(["random", "vertex", "tangent", "outside", "beyond"]))
