@@ -137,8 +137,10 @@ class RunConfig:
             raise ValidationError("frac must lie in (0, 0.95]")
         if self.snapshots < 2:
             raise ValidationError("need at least two snapshots")
-        if self.budget < 10**3:
-            raise ValidationError("sampling budget below 10^3 is meaningless")
+        try:
+            collapse.samples_per_replicate(self.budget)
+        except collapse.CollapseError as e:
+            raise ValidationError(str(e)) from None
         if self.vertices < 16:
             raise ValidationError("need at least 16 boundary vertices")
         if not self.tol > 0:

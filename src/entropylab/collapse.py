@@ -6,10 +6,13 @@ V(Omega n B_{r/2}) stays bounded.  Polyline domains get exact polygon-circle
 clipping, vectorized over the edges; analytic domains (slabs, grim reaper
 regions, the catenoid body) are measured by scrambled low-discrepancy
 sampling restricted to the tightest available bounding box, with a
-replicate-spread error estimate.  Each replicate draws its Sobol points in
-blocks of SAMPLE_BLOCK, so the working set stays in cache; each block's
-in-ball points are compacted with one ``compress`` and only they reach the
-domain's ``contains``; the count is the one-shot count, bit for bit.  A scan
+replicate-spread error estimate.  The scrambled Sobol points are generated
+in numpy, bit for bit those of scipy's ``Sobol`` engine, whose statistics
+package is never loaded: its import alone adds about 30 MiB and half a
+second to a run.  Each replicate draws its points in integer blocks of
+SAMPLE_BLOCK, so the working set stays in cache; each block's in-ball
+points are compacted with one ``compress`` and only they reach the domain's
+``contains``; the count is the one-shot count, bit for bit.  A scan
 computes each (center, radius) volume once: with dyadic radii about a fixed
 center, every half ball but the first is the previous row's full ball, so n
 rows take n + 1 volumes, not 2n.
@@ -19,18 +22,22 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .geometry import AnalyticDomain, GeometryError, PlanarCurve
+from .meshing import _points_polyline_distance
 
 DEFAULT_BUDGET = 10**6
 N_REPLICATES = 8
 BETA_SPECS = ("zero", "mean_curvature")
 GRIM_REAPER_GRID = 200_001  # x1 cells for the grim reaper boundary integral
 SAMPLE_BLOCK = 2**13  # Sobol points drawn and tested at a time
+SOBOL_BITS = 30  # Sobol points are multiples of 2^-30, at most 2^30 per sequence
 
 
 class CollapseError(ValueError):
@@ -186,6 +193,18 @@ def _row_seed(center, r: float, seed: int) -> int:
     return zlib.crc32(key.encode())
 
 
+def samples_per_replicate(budget: int) -> int:
+    """Sobol points each replicate draws: budget / N_REPLICATES rounded up
+    to a power of two, which Sobol balance wants."""
+    if budget < 10**3:
+        raise CollapseError("sampling budget below 10^3 is meaningless")
+    n = 2 ** int(np.ceil(np.log2(max(budget // N_REPLICATES, 2))))
+    if n > 2**SOBOL_BITS:
+        raise CollapseError(f"sampling budget {budget} asks for {n} Sobol points per "
+                            f"replicate; a sequence has at most 2^{SOBOL_BITS}")
+    return n
+
+
 def ball_intersection_volume(domain, center, r: float, budget: int = DEFAULT_BUDGET,
                              seed: int = 0):
     """V(Omega n B_r(center)) with an error estimate.
@@ -201,8 +220,7 @@ def ball_intersection_volume(domain, center, r: float, budget: int = DEFAULT_BUD
         return abs(_polygon_circle_area(domain.vertices, center, r)), 0.0
     if not isinstance(domain, AnalyticDomain):
         raise CollapseError(f"unsupported domain {type(domain).__name__}")
-    if budget < 10**3:
-        raise CollapseError("sampling budget below 10^3 is meaningless")
+    n = samples_per_replicate(budget)
 
     box = _sampling_box(domain, center, r)
     if box is None:
@@ -210,41 +228,37 @@ def ball_intersection_volume(domain, center, r: float, budget: int = DEFAULT_BUD
     lo, hi, dim = box
     span = hi - lo
     box_vol = float(np.prod(span))
-    # scipy.stats costs about a second to import: load it on first use
-    from scipy.stats import qmc
-
-    # Sobol balance wants powers of two; round the per-replicate count up
-    n = 2 ** int(np.ceil(np.log2(max(budget // N_REPLICATES, 2))))
+    block = min(SAMPLE_BLOCK, n)
+    pts = np.empty((dim, block))  # one row per coordinate
     means = []
     base = _row_seed(center, r, seed)
     for k in range(N_REPLICATES):
-        sob = qmc.Sobol(d=dim, scramble=True, seed=base + k)
-        count = _count_inside(domain, sob, n, lo, span, center, r)
+        blocks = _sobol_blocks(dim, base + k, block, n // block)
+        count = _count_inside(domain, blocks, pts, lo, span, center, r)
         means.append(count / n * box_vol)
     value = float(np.mean(means))
     err = float(np.std(means, ddof=1) / np.sqrt(N_REPLICATES))
     return value, err
 
 
-def _count_inside(domain, sob, n: int, lo, span, center, r: float) -> int:
-    """How many of sob's next n points, scaled into the box lo + [0, span],
-    lie in B_r(center) n domain.
+def _count_inside(domain, blocks, pts, lo, span, center, r: float) -> int:
+    """How many of the Sobol points in ``blocks``, scaled into the box
+    lo + [0, span], lie in B_r(center) n domain.
 
-    The points come in blocks of SAMPLE_BLOCK (``Sobol.random`` continues
-    the sequence).  Each coordinate is scaled and each squared distance
-    summed one coordinate at a time, in the order ``np.linalg.norm`` sums
-    them, and the test is sqrt(dist2) < r, not dist2 < r^2, which rounds
-    differently; so the count is that of scaling and testing all n points at
-    once.  Only the in-ball points reach ``domain.contains``: ``compress``
+    Each block holds integer coordinates q, one row per coordinate, for the
+    points q 2^-30; ``pts``, of the blocks' shape, receives them scaled.
+    Scaling q by span 2^-30 rounds as scaling q 2^-30 by span does, since a
+    power-of-two factor is exact.  Each squared distance is summed one
+    coordinate at a time, in the order ``np.linalg.norm`` sums them, and the
+    test is sqrt(dist2) < r, not dist2 < r^2, which rounds differently; so
+    the count is that of scaling and testing all points at once.  Only the in-ball points reach ``domain.contains``: ``compress``
     copies them out in order, at a fraction of a boolean-index gather's cost.
     """
-    block = min(SAMPLE_BLOCK, n)
-    pts = np.empty((len(lo), block))  # one row per coordinate
+    scale = span * 2.0**-SOBOL_BITS
     count = 0
-    for _ in range(n // block):
-        u = sob.random(block)
+    for q in blocks:
         for j, x in enumerate(pts):
-            np.multiply(u[:, j], span[j], out=x)
+            np.multiply(q[j], scale[j], out=x)
             x += lo[j]
             dx = x - center[j]
             dx *= dx
@@ -255,6 +269,78 @@ def _count_inside(domain, sob, n: int, lo, span, center, r: float) -> int:
         near = np.sqrt(dist2, out=dist2) < r
         count += int(np.count_nonzero(domain.contains(pts.compress(near, axis=1).T)))
     return count
+
+
+# -- scrambled Sobol points ------------------------------------------------
+
+
+@functools.cache
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Direction numbers v[j, b] of the first dim Sobol coordinates.
+
+    The primitive polynomials and initial numbers are Joe and Kuo's (SIAM
+    J. Sci. Comput. 30, 2008), read from the table scipy ships; the rest
+    follow Bratley and Fox's recurrence (ACM TOMS 14, 1988).  Bit b of the
+    point index selects v[:, b], scaled to SOBOL_BITS bits.
+    """
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                        "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        poly = table["poly"][:dim].tolist()
+        vinit = table["vinit"][:dim].tolist()
+    v = [[1] * SOBOL_BITS]  # the first coordinate is van der Corput's
+    for p, init in zip(poly[1:], vinit[1:]):
+        m = p.bit_length() - 1
+        row = init[:m]
+        for j in range(m, SOBOL_BITS):
+            new = row[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v.append(row)
+    out = np.array(v, dtype=np.uint32) << np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    out.flags.writeable = False  # shared by every generator of this dimension
+    return out
+
+
+def _sobol_blocks(dim: int, seed: int, block: int, n_blocks: int):
+    """Yield scipy's ``Sobol(d=dim, scramble=True, seed=seed)`` points, bit
+    for bit, as integers q (points q 2^-30) in n_blocks arrays of shape
+    (dim, block); block is a power of two, and each block overwrites the
+    array that held the previous one.
+
+    The scramble is Matousek's (J. Complexity 14, 1998): a random lower
+    triangular matrix with unit diagonal multiplies each direction number's
+    bits mod 2 (matrix column c reads bit 29 - c, row p writes bit 29 - p),
+    and a random digital shift is the first point.  Both come from the
+    ``default_rng(seed).integers`` draws scipy makes.  Point i is the first
+    point XOR the directions of gray(i)'s bits; a block starting at i = kB
+    is its first point XOR one Gray-code table G over the block, built by
+    reflection: G[2^b + t] = G[2^b - 1 - t] ^ v[b].
+    """
+    rng = np.random.default_rng(seed)
+    weights = np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ weights
+    ltm = np.tril(rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    ltm[:, np.arange(SOBOL_BITS), np.arange(SOBOL_BITS)] = 1
+    # bits[d, j, c] is bit 29 - c of v[d, j]; row p of the product is bit 29 - p
+    msb_first = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    bits = (_sobol_directions(dim)[:, :, None] >> msb_first) & 1
+    v = ((bits @ ltm.transpose(0, 2, 1)) & 1) @ weights[::-1]
+    m = block.bit_length() - 1
+    table = np.zeros((dim, block), dtype=np.uint32)
+    for b in range(m):
+        h = 1 << b
+        np.bitwise_xor(table[:, h - 1::-1], v[:, b:b + 1], out=table[:, h:2 * h])
+    first = shift
+    q = np.empty_like(table)
+    for k in range(n_blocks):
+        np.bitwise_xor(table, first[:, None], out=q)
+        yield q
+        if k + 1 < n_blocks:
+            # the next index, (k + 1) B, flips bit m + (lowest zero bit of k)
+            first = first ^ table[:, -1] ^ v[:, m + ((~k & (k + 1)).bit_length() - 1)]
 
 
 # -- boundary integrals of |beta| ----------------------------------------
@@ -342,6 +428,25 @@ class RatioScan:
         return np.array([row[name] for row in self.rows])
 
 
+def _half_ball_empty(domain, center, r_half: float, v_half: float) -> bool:
+    """Whether B_{r_half}(center) misses the domain.
+
+    Sampling a box that the domain misses gives exactly 0, so a measured 0
+    is empty.  Exact polygon clipping leaves rounding dust for disjoint
+    sets, and the dust grows with r, so a polygon is also decided by
+    geometry: the open half ball misses it iff the center lies outside and
+    at least r_half from the boundary.
+    """
+    if v_half == 0.0:
+        return True
+    if not isinstance(domain, PlanarCurve):
+        return False
+    point = center[None, :]
+    if domain.contains_points(point)[0]:
+        return False
+    return bool(_points_polyline_distance(point, domain.vertices, r_half)[0] >= r_half)
+
+
 def ratio_scan(domain, centers, radii, beta_spec="zero",
                budget: int = DEFAULT_BUDGET, seed: int = 0) -> RatioScan:
     """Scan V(Omega n B_r)/r^dim along (center, r) pairs.
@@ -364,7 +469,7 @@ def ratio_scan(domain, centers, radii, beta_spec="zero",
         raise CollapseError("centers and radii must pair up")
     dim = domain.dim
     for r in radii:
-        # the ratio divides by r^dim and the empty test scales (r/2)^dim
+        # the ratio divides by r^dim, and c1 by V_half, of order (r/2)^dim
         try:
             normal = np.finfo(float).tiny <= (r / 2.0) ** dim and r**dim < math.inf
         except OverflowError:
@@ -388,8 +493,7 @@ def ratio_scan(domain, centers, radii, beta_spec="zero",
         v_full, e_full = volume(center, r)
         v_half, e_half = volume(center, r / 2)
         b_int = boundary_beta_integral(domain, center, r, beta_spec)
-        # exact polygon clipping leaves O(eps) dust for disjoint sets
-        empty = v_half <= 1e-12 * (r / 2.0) ** dim
+        empty = _half_ball_empty(domain, center, r / 2.0, v_half)
         c1 = np.inf if empty else (v_full + r * r * b_int) / v_half
         rows.append({
             "center": tuple(center),

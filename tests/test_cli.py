@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,6 +27,8 @@ class TestConfig:
         [("tau", 0.0), ("h", -1.0), ("dt_scale", 2.0), ("frac", 0.96),
          ("snapshots", 1), ("budget", 10), ("vertices", 4), ("tol", 0.0),
          ("steps_per_tau", 0.0), ("skip", -3), ("seed", -1),
+         # more than 2^30 Sobol points per replicate
+         ("budget", 2**34),
          # non-finite floats
          ("tau", np.inf), ("tau", np.nan), ("h", np.inf), ("frac", np.nan),
          ("dt_scale", np.nan), ("a", np.nan), ("a", np.inf), ("tol", np.inf),
@@ -314,6 +318,8 @@ class TestPipelines:
         ["harnack", "--snapshots", "5", "--skip", "3"],
         # a negative seed, rejected before any meshing or sampling
         ["collapse", "--seed", "-1"],
+        # a budget past the Sobol sequence's 2^30 points per replicate
+        ["collapse", "--budget", str(2**34)],
         ["logsobolev", "--seed", "-1"],
     ], ids=" ".join)
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
@@ -640,3 +646,23 @@ class TestPipelines:
         assert rc == cli.EXIT_OK
         payload = json.loads((tmp_path / "l1" / "logsobolev.json").read_text())
         assert payload["violations"] == 0
+
+
+def test_collapse_runs_never_load_scipy_stats(tmp_path):
+    # a fresh interpreter: the test session itself has loaded scipy.stats
+    code = "\n".join([
+        "import sys",
+        "from entropylab import cli",
+        f"out = {str(tmp_path)!r}",
+        "assert cli.main(['collapse', '--domain', 'analytic:grim_reaper_2d',",
+        "                 '--budget', '10000', '--out', out, '--tag', 'c']) == 0",
+        "assert cli.main(['verify', '--suite', 'collapse', '--budget', '10000',",
+        "                 '--out', out, '--tag', 'v']) == 0",
+        "assert 'scipy.stats' not in sys.modules",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

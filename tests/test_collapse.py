@@ -123,6 +123,19 @@ class TestBallIntersectionAnalytic:
         with pytest.raises(collapse.CollapseError):
             collapse.ball_intersection_volume(slab, (0.0, 0.0), 1.0, budget=100)
 
+    def test_oversized_budget_starts_no_sampling(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(collapse, "_sobol_blocks", never)
+        slab = AnalyticDomain.slab(1.0, dim=2)
+        with pytest.raises(collapse.CollapseError, match="at most 2\\^30"):
+            collapse.ball_intersection_volume(slab, (0.0, 0.0), 1.0, budget=2**34)
+        # a sequence holds 2^30 points: budget // N_REPLICATES may reach 2^30
+        assert collapse.samples_per_replicate(2**33 + 7) == 2**30
+        with pytest.raises(collapse.CollapseError):
+            collapse.samples_per_replicate(2**33 + 8)
+
     def test_radius_validation(self):
         with pytest.raises(collapse.CollapseError):
             collapse.ball_intersection_volume(PlanarCurve.circle(1.0, 64), (0, 0), 0.0)
@@ -200,6 +213,25 @@ class TestRatioScan:
         assert scan.rows[0]["empty_half_ball"]
         assert scan.rows[0]["c1"] == np.inf
         assert not scan.collapsed_trend
+
+    @pytest.mark.parametrize("domain, radii, v_half", [
+        # the half balls hold the whole ellipse, a tiny share of (r/2)^2
+        (PlanarCurve.ellipse(1.2, 0.8, 512), [1e5, 1e7], 3.0159),
+        (AnalyticDomain.slab(1.0, dim=2), [1e13], 2e13),
+    ], ids=["far_polygon", "huge_slab"])
+    def test_small_share_of_a_half_ball_is_not_empty(self, domain, radii, v_half):
+        scan = collapse.ratio_scan(domain, [(0.0, 0.0)], radii)
+        for row in scan.rows:
+            assert row["V_half"] == pytest.approx(v_half, rel=1e-4)
+            assert not row["empty_half_ball"] and np.isfinite(row["c1"])
+
+    def test_half_ball_touching_a_polygon_is_empty(self):
+        # the half ball reaches the vertex (1, 0) and no further: clipping
+        # leaves dust, which grows with r, but the polygon is missed
+        c = PlanarCurve.circle(1.0, 512)
+        scan = collapse.ratio_scan(c, [(10.0, 0.0)], [18.0, 18.5])
+        assert [row["empty_half_ball"] for row in scan.rows] == [True, False]
+        assert scan.rows[0]["c1"] == np.inf and np.isfinite(scan.rows[1]["c1"])
 
     def test_columns_present(self):
         c = PlanarCurve.circle(1.0, 512)

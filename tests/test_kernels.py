@@ -21,9 +21,11 @@ fresh QUAD_K query's.  The flow's folded turning guard is the oracle's
 arithmetic on the same edge data, bit for bit.  The edge-vectorized
 clipping kernels are held to their per-edge oracles to 1e-13 relative (1e-15
 absolute near zero), and the blocked Monte Carlo volume to the one-shot one,
-bit for bit.  Analytic membership must be the gather-and-scatter oracle's on
-every variant, bit for bit, with no RuntimeWarning from the rows outside
-the region where log cos x_n or arccosh rho is defined.
+bit for bit; the numpy Sobol generator must give scipy's scrambled points,
+bit for bit, over consecutive blocks.  Analytic membership must be the
+gather-and-scatter oracle's on every variant, bit for bit, with no
+RuntimeWarning from the rows outside the region where log cos x_n or
+arccosh rho is defined.
 """
 
 import tracemalloc
@@ -34,6 +36,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
+from scipy.stats import qmc
 
 import oracles
 from entropylab import collapse, conjugate, fem, flow, geometry, harnack, meshing
@@ -676,3 +679,14 @@ class TestCollapseAgainstOracles:
         got = collapse.ball_intersection_volume(domain, center, r, budget, seed=7)
         assert got == oracles.ball_intersection_volume_mc(domain, center, r, budget, 7)
         assert got[1] > 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_sobol_blocks_are_scipys_points(self, dim, seed):
+        # _row_seed is a crc32 plus the replicate, so seeds pass 2^32
+        for block, n_blocks in ((1, 64), (2, 32), (1024, 5), (8192, 5)):
+            ref = qmc.Sobol(d=dim, scramble=True, seed=seed)
+            blocks = collapse._sobol_blocks(dim, seed, block, n_blocks)
+            for q in blocks:
+                assert q.dtype == np.uint32 and q.shape == (dim, block)
+                assert np.array_equal(q.T * 2.0**-collapse.SOBOL_BITS, ref.random(block))
