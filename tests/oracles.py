@@ -15,7 +15,9 @@ reused-factor solve is held, and the snapshot meshes' harmonic extension is
 ``spsolve`` per displacement component, against which the shared factor's
 two-column solve is held bit for bit.  The flow step is the earlier
 ``np.roll`` form resampled through scipy's ``CubicSpline``, and the turning guard the
-standalone form the flow loop now folds into its own segment data.  The polygon-circle clipping and boundary integral go one
+standalone form the flow loop now folds into its own segment data.  The
+flow's cyclic tridiagonal solve is the Sherman-Morrison form on
+``solve_banded``, whose LAPACK call the library makes directly.  The polygon-circle clipping and boundary integral go one
 edge and one piece at a time, with the same arithmetic per piece as the
 edge-vectorized kernels, and sum their pieces exactly.  At a near tangency
 a crossing's parameter is ill-conditioned, so the reference forms each
@@ -35,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from entropylab import flow, functional
 
@@ -252,6 +255,29 @@ def _apply_lap(x, am, ap):
         + ap[:, None] * np.roll(x, -1, axis=0)
         - (am + ap)[:, None] * x
     )
+
+
+def cyclic_tridiag_solve(a, b, c, rhs):
+    """The cyclic tridiagonal solve of ``flow._cyclic_tridiag_solve`` through
+    ``solve_banded`` on the (3, m) band array."""
+    m = len(b)
+    gamma = -b[0]
+    bb = b.copy()
+    bb[0] -= gamma
+    bb[-1] -= a[0] * c[-1] / gamma
+    ab = np.zeros((3, m))
+    ab[0, 1:] = c[:-1]
+    ab[1] = bb
+    ab[2, :-1] = a[1:]
+    rhs2 = np.column_stack([rhs, np.zeros(m)])
+    rhs2[0, -1] = gamma
+    rhs2[-1, -1] = c[-1]
+    sol = solve_banded((1, 1), ab, rhs2, overwrite_ab=True, overwrite_b=True,
+                       check_finite=False)
+    z = sol[:, -1]
+    y = sol[:, :-1]
+    fact = (y[0] + a[0] * y[-1] / gamma) / (1.0 + z[0] + a[0] * z[-1] / gamma)
+    return y - np.outer(z, fact)
 
 
 def flow_step(x, dt):

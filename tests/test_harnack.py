@@ -204,6 +204,14 @@ class TestRateIdentity:
         # six evaluated snapshots and the one after them read by the stencils
         assert calls == list(range(7))
 
+    def test_patch_rows_counted(self, shrinker_state):
+        rep = hk.rate_identity_check(shrinker_state, skip=5)
+        meta, n = rep.meta, shrinker_state.meshes[0].n_vertices
+        # every row is queried and fitted from all vertices; the rows whose
+        # fit is not shared are queried and fitted again from the kept ones
+        assert meta["patch_query_rows"] + meta["patch_shared_rows"] == 2 * n * len(rep.records)
+        assert 0 < meta["patch_shared_rows"] < n * len(rep.records)
+
 
 class TestThreadedEvaluation:
     """Records do not depend on how many threads evaluate the snapshots."""

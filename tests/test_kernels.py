@@ -17,8 +17,12 @@ tolerances, and so is the flow step, whose spline resample solves for
 moments where scipy's ``CubicSpline`` solves for slopes.  The patch
 neighbourhoods must be the brute-force (distance, index) order's, bit for
 bit, whatever shape the k-d tree takes, and their first QUAD_K columns a
-fresh QUAD_K query's.  The flow's folded turning guard is the oracle's
-arithmetic on the same edge data, bit for bit.  The edge-vectorized
+fresh QUAD_K query's.  The snapshot patch fits that share one cubic fit
+between the Hessian's and the gradient's patch sets must give both
+standalone fits' results, bit for bit.  The flow's cyclic tridiagonal solve
+calls LAPACK ``dgtsv`` as ``solve_banded`` would, so it agrees with the
+``solve_banded`` oracle bit for bit.  The flow's folded turning guard is the
+oracle's arithmetic on the same edge data, bit for bit.  The edge-vectorized
 clipping kernels are held to their per-edge oracles to 1e-13 relative (1e-15
 absolute near zero), and the blocked Monte Carlo volume to the one-shot one,
 bit for bit; the numpy Sobol generator must give scipy's scrambled points,
@@ -373,6 +377,26 @@ def _random_mesh(seed):
 meshes = dict(seed=st.integers(0, 2**32 - 1))
 
 
+def _check_shared_patch_fits(mesh, rng):
+    """``harnack._patch_fits`` against the standalone Hessian and W fits."""
+    v, nb, k = mesh.vertices, mesh.n_boundary, harnack.QUAD_K
+    f = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1]) + v[:, 0] * v[:, 1] ** 2
+    try:
+        H = harnack._hessian_from_fits(mesh, f)
+    except harnack.HarnackError:  # too few kept vertices for a cubic
+        with pytest.raises(harnack.HarnackError):
+            harnack._patch_fits(mesh, mesh.boundary_curve(), f)
+        return None
+    fits = harnack._patch_fits(mesh, mesh.boundary_curve(), f)
+    assert np.array_equal(fits.hessian, H)
+    dfdt, vel = rng.normal(size=len(v)), rng.normal(size=v.shape)
+    W, (d, idx) = harnack._nodal_w_field(mesh, f, dfdt, vel, 0.3)
+    assert np.array_equal(harnack._w_field(f, fits.grad, dfdt, vel, 0.3), W)
+    assert np.array_equal(fits.quad[0], d[:nb, :k])
+    assert np.array_equal(fits.quad[1], idx[:nb, :k])
+    return fits
+
+
 class TestNumericKernelsAgainstOracles:
     @given(**meshes, degree=st.sampled_from([2, 3]), subset=st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -522,6 +546,39 @@ class TestNumericKernelsAgainstOracles:
                 assert np.array_equal(idx[:, : harnack.QUAD_K], idx_quad)
                 assert np.array_equal(d[:, : harnack.QUAD_K], d_quad)
 
+    def test_nearest_requeries_only_ties_past_its_first_query(self, monkeypatch):
+        # the first query reaches 6 columns past the cut; on the 15 x 15
+        # integer lattice the 8 points at distance sqrt(10) run past it at
+        # k = 30 for the 81 interior rows, and stop short of it at k = 36
+        g = np.arange(15.0)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        queried = []
+
+        class Counted(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(harnack, "cKDTree", Counted)
+        for k, rows in ((30, [225, 81]), (36, [225])):
+            queried.clear()
+            d, idx = harnack._nearest(pts, pts, k)
+            d_ref, idx_ref = oracles.nearest(pts, pts, k)
+            assert queried == rows
+            assert np.array_equal(d, d_ref) and np.array_equal(idx, idx_ref)
+
+    @given(**meshes)
+    @settings(max_examples=20, deadline=None)
+    def test_shared_patch_fits_on_random_meshes(self, seed):
+        mesh, rng = _random_mesh(seed)
+        _check_shared_patch_fits(mesh, rng)
+
+    def test_shared_patch_fits_on_a_symmetric_mesh(self):
+        # many tied distances; some rows share their fit and some do not
+        mesh = triangulate(PlanarCurve.circle(1.0, 256), 0.1)
+        fits = _check_shared_patch_fits(mesh, np.random.default_rng(3))
+        assert 0 < fits.shared < mesh.n_vertices
+
     def test_ale_rejects_inverted_mesh(self, small_mesh):
         asm = conjugate._AleAssembler(small_mesh)
         flipped = small_mesh.vertices * np.array([-1.0, 1.0])
@@ -543,6 +600,28 @@ def _smooth_star(rng, m):
 
 
 class TestFlowAgainstOracles:
+    @given(m=st.integers(3, 400), cols=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_cyclic_tridiag_solve_is_solve_bandeds(self, m, cols, seed):
+        # diagonally dominant, as both of the flow's systems are
+        rng = np.random.default_rng(seed)
+        a, c = rng.uniform(-1.0, 1.0, (2, m))
+        b = np.abs(a) + np.abs(c) + rng.uniform(0.1, 2.0, m)
+        rhs = rng.normal(size=(m, cols))
+        args = a, b, c, rhs
+        copies = [x.copy() for x in args]
+        got = flow._cyclic_tridiag_solve(*args)
+        assert np.array_equal(got, oracles.cyclic_tridiag_solve(*copies))
+        assert all(np.array_equal(x, y) for x, y in zip(args, copies))  # inputs kept
+
+    def test_singular_cyclic_system_raises(self):
+        a = c = np.zeros(3)
+        b = np.array([1.0, 0.0, 1.0])
+        for solve in (flow._cyclic_tridiag_solve, oracles.cyclic_tridiag_solve):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(a, b, c, np.ones((3, 1)))
+
     # at m >= 128 the 50 steps stay within about a third of the lifespan
     # A0 / (2 pi); a coarser polygon runs into the singularity
     @given(m=st.integers(128, 256), seed=st.integers(0, 2**32 - 1))
