@@ -17,11 +17,12 @@ the two routes and of their sum with the finite-difference entropy rate is
 what the identity gaps measure.
 
 The term functions take arrays (f, u, the curvature and the time
-derivatives along the moving mesh), so closed-form fields can be fed in;
-``rate_identity_check`` derives each snapshot's arrays once and combines
-them with second-order time stencils.  Where a snapshot's boundary lies is
-read from the backward solve's meshes, never rederived from the curves: the
-boundary velocity is the boundary rows of the mesh velocity.
+derivatives along the moving mesh) and the patch fits of f that
+``_patch_fits`` makes, so closed-form fields can be fed in;
+``rate_identity_check`` derives each snapshot's arrays and fits once and
+combines them with second-order time stencils.  Where a snapshot's boundary
+lies is read from the backward solve's meshes, never rederived from the
+curves: the boundary velocity is the boundary rows of the mesh velocity.
 
 A snapshot's terms read only its own fields and its stencil neighbours'
 arrays, so ``rate_identity_check`` evaluates the snapshots in one pass on one
@@ -38,15 +39,15 @@ and with two snapshots in flight it set the peak memory.
 Every patch takes its neighbours from ``_nearest`` in (distance, vertex
 index) order, whatever order scipy's k-d tree visits the points in.
 
-Each snapshot's patch work is done once per set of neighbours: f is fitted
-with cubics on every vertex's PATCH_K nearest vertices (its gradient enters
-W), and a vertex whose PATCH_K nearest are all kept by the Hessian's
+A snapshot's f is fitted with cubics only in ``_patch_fits``, once per set
+of neighbours: on every vertex's PATCH_K nearest vertices (its gradient
+enters W), and a vertex whose PATCH_K nearest are all kept by the Hessian's
 boundary-layer exclusion has the same patch in both sets, so that fit gives
 its Hessian too; only the other vertices query the kept vertices and are
-fitted again (``_patch_fits``).  The results are those of the standalone
-term functions bit for bit, and the report's ``meta`` counts the rows
-queried, fitted and shared.  The snapshot's boundary curve is built once,
-with its operators.
+fitted again.  ``volume_term`` reads the Hessian and
+``boundary_term_direct`` the gradient and the boundary rows' neighbours, and
+the report's ``meta`` counts the rows queried, fitted and shared.  The
+snapshot's boundary curve is built once, with its operators.
 """
 
 from __future__ import annotations
@@ -206,29 +207,14 @@ def _hessian(c, R):
     return H / R[:, None, None] ** 2
 
 
-def _hessian_from_fits(mesh, f):
-    """Per-vertex Hessian of f from local cubic fits (exact on quadratics).
-
-    Fit points closer than LAYER_EXCLUDE boundary spacings to the
-    boundary are dropped: fields transported by the moving-mesh solver carry
-    a mesh-scale boundary layer whose second differences do not vanish under
-    refinement, and keeping those nodes out of the patches removes it while
-    the one-sided cubic models still extrapolate cleanly to the boundary.
-    The Hessian is still evaluated at every vertex.
-    """
-    keep = _kept_vertices(mesh, mesh.boundary_curve())
-    d, idx = _nearest(mesh.vertices[keep], mesh.vertices, PATCH_K)
-    idx = keep[idx]  # vertex indices; drops the query's own array
-    return _hessian(*_poly_fit(mesh, f, mesh.vertices, 3, (d, idx)))
-
-
 @dataclass
 class _PatchFits:
     """A snapshot's cubic fits of f, one fit per row where its two patch sets agree.
 
-    ``hessian`` equals ``_hessian_from_fits`` and ``grad`` the gradient of
-    ``_nodal_w_field``'s fit, bit for bit; ``quad`` holds the boundary rows'
-    QUAD_K nearest vertices (distances, indices) for the quadratic W patches.
+    ``hessian`` is f's Hessian at every vertex from cubics on its PATCH_K
+    nearest kept vertices, ``grad`` f's gradient from cubics on its PATCH_K
+    nearest vertices, and ``quad`` the boundary rows' QUAD_K nearest vertices
+    (distances, indices) for the quadratic W patches.
     """
 
     hessian: np.ndarray
@@ -237,18 +223,24 @@ class _PatchFits:
     shared: int  # rows whose all-vertex fit is also their Hessian fit
 
 
-def _patch_fits(mesh, boundary, f) -> _PatchFits:
-    """The Hessian and gradient fits of f on a mesh, sharing what they can.
+def _patch_fits(ops: fem.FemOperators, f) -> _PatchFits:
+    """The Hessian and gradient fits of f on the operators' mesh.
 
     Every row is fitted on its PATCH_K nearest vertices, which gives the
-    gradient.  A row whose PATCH_K nearest vertices are all kept (see
-    ``_hessian_from_fits``) has the same (distance, index)-ordered patch in
-    both sets, so that fit is also its Hessian fit; only the other rows query
-    the kept vertices and are fitted again.  Each row's arithmetic is the
-    same in any block, so the results are those of the two separate fits.
+    gradient (exact on cubics).  The Hessian (exact on quadratics) is fitted
+    on the PATCH_K nearest kept vertices only: fit points closer than
+    LAYER_EXCLUDE boundary spacings to ``ops.boundary`` are dropped, since
+    fields transported by the moving-mesh solver carry a mesh-scale boundary
+    layer whose second differences do not vanish under refinement, and the
+    one-sided cubic models still extrapolate cleanly to the boundary.  A row
+    whose PATCH_K nearest vertices are all kept has the same (distance,
+    index)-ordered patch in both sets, so that fit is also its Hessian fit;
+    only the other rows query the kept vertices and are fitted again.  Each
+    row's arithmetic is the same in any block, so sharing changes no bit.
     """
+    mesh = ops.mesh
     v, nb = mesh.vertices, mesh.n_boundary
-    keep = _kept_vertices(mesh, boundary)
+    keep = _kept_vertices(mesh, ops.boundary)
     kept = np.zeros(len(v), dtype=bool)
     kept[keep] = True
     d, idx = _nearest(v, v, PATCH_K)
@@ -265,30 +257,15 @@ def _patch_fits(mesh, boundary, f) -> _PatchFits:
     return _PatchFits(H, grad, quad, int(shared.sum()))
 
 
-@dataclass
-class _FittedOps(fem.FemOperators):
-    """A snapshot's operators with the patch fits of its f.
-
-    ``rate_identity_check`` hands these to ``volume_term`` and
-    ``boundary_term_direct``, which read the fits instead of making them.
-    """
-
-    fits: _PatchFits
-
-
-def volume_term(ops: fem.FemOperators, f, u, tau: float) -> float:
+def volume_term(ops: fem.FemOperators, fits: _PatchFits, u, tau: float) -> float:
     """2 tau int |Hess f - I/(2 tau)|^2 u dx over the whole domain.
 
-    The Hessian comes from local cubic least-squares fits rather than
-    double gradient recovery: the fits stay second-order accurate up to the
-    boundary (one-sided patches), so no boundary ring has to be discarded
-    and the near-boundary share of the integral is kept.
+    The Hessian ``fits.hessian`` comes from local cubic least-squares fits
+    rather than double gradient recovery: the fits stay second-order
+    accurate up to the boundary (one-sided patches), so no boundary ring has
+    to be discarded and the near-boundary share of the integral is kept.
     """
-    if isinstance(ops, _FittedOps):
-        H = ops.fits.hessian
-    else:
-        H = _hessian_from_fits(ops.mesh, np.asarray(f, dtype=float))
-    H = H - np.eye(2) / (2.0 * tau)
+    H = fits.hessian - np.eye(2) / (2.0 * tau)
     dens = np.einsum("nij,nij->n", H, H)
     return 2.0 * tau * float(ops.M_lumped @ (u * dens))
 
@@ -324,40 +301,22 @@ def _w_field(f, grad, dfdt, vel, tau: float):
     return -2.0 * tau * dtf + tau * np.einsum("ij,ij->i", grad, grad) + f
 
 
-def _nodal_w_field(mesh, f, dfdt, vel, tau: float):
-    """``_w_field`` with f's gradient from cubic fits on every vertex's PATCH_K
-    nearest vertices.  Returns W and the nearest-vertex query the fits used.
-    """
-    neighbors = _nearest(mesh.vertices, mesh.vertices, PATCH_K)
-    c, R = _poly_fit(mesh, f, mesh.vertices, 3, neighbors)
-    return _w_field(f, c[:, 1:3] / R[:, None], dfdt, vel, tau), neighbors
-
-
-def _boundary_normal_gradient(mesh, W: np.ndarray, neighbors, boundary=None) -> np.ndarray:
+def _boundary_normal_gradient(mesh, W: np.ndarray, quad, boundary) -> np.ndarray:
     """<grad W, nu> at boundary vertices from one-sided quadratic patches.
 
-    ``neighbors`` is ``_nearest`` of every vertex (boundary vertices first),
-    or of the boundary vertices alone, at k >= QUAD_K, so its first QUAD_K
-    columns are the QUAD_K nearest.  ``boundary`` is the mesh's boundary
-    curve, built here when not given.
+    ``quad`` is the boundary vertices' QUAD_K nearest vertices (distances,
+    indices) from ``_nearest``, and ``boundary`` the mesh's boundary curve.
     """
-    nb = mesh.n_boundary
-    d, idx = neighbors
-    patches = d[:nb, :QUAD_K], idx[:nb, :QUAD_K]
-    c, R = _poly_fit(mesh, W, mesh.vertices[:nb], 2, patches)
-    gW = c[:, 1:3] / R[:, None]
-    if boundary is None:
-        boundary = mesh.boundary_curve()
-    return np.einsum("ij,ij->i", gW, boundary.outward_normal())
+    c, R = _poly_fit(mesh, W, mesh.vertices[: mesh.n_boundary], 2, quad)
+    return np.einsum("ij,ij->i", c[:, 1:3] / R[:, None], boundary.outward_normal())
 
 
-def boundary_term_direct(ops: fem.FemOperators, f, dfdt, vel, u, tau: float) -> float:
-    """-int <grad W, nu> u dS from patch fits of the nodal W field."""
-    if isinstance(ops, _FittedOps):
-        W, neighbors = _w_field(f, ops.fits.grad, dfdt, vel, tau), ops.fits.quad
-    else:
-        W, neighbors = _nodal_w_field(ops.mesh, f, dfdt, vel, tau)
-    dWdnu = _boundary_normal_gradient(ops.mesh, W, neighbors, ops.boundary)
+def boundary_term_direct(
+    ops: fem.FemOperators, fits: _PatchFits, f, dfdt, vel, u, tau: float
+) -> float:
+    """-int <grad W, nu> u dS from quadratic patch fits of the nodal W field."""
+    W = _w_field(f, fits.grad, dfdt, vel, tau)
+    dWdnu = _boundary_normal_gradient(ops.mesh, W, fits.quad, ops.boundary)
     nb = ops.mesh.n_boundary
     return -float(ops.boundary_weights[:nb] @ (u[:nb] * dWdnu))
 
@@ -462,13 +421,13 @@ def rate_identity_check(
         dfdt, vel, dbeta_dt = (
             sum(wj * x[j] for j, wj in zip(ks, wts)) for x in (f, xv, beta)
         )
-        ops = _FittedOps(**vars(ops), fits=_patch_fits(ops.mesh, ops.boundary, f[k]))
+        fits = _patch_fits(ops, f[k])
         terms = (
-            volume_term(ops, f[k], u, tau),
-            boundary_term_direct(ops, f[k], dfdt, vel, u, tau),
+            volume_term(ops, fits, u, tau),
+            boundary_term_direct(ops, fits, f[k], dfdt, vel, u, tau),
             boundary_term_harnack(ops, f[k], beta[k], dbeta_dt, vel[:nb], u, tau),
         )
-        return W, terms, one_sided, ops.fits.shared
+        return W, terms, one_sided, fits.shared
 
     W, terms, one_sided_b, shared = zip(*_map_in_order(evaluate, n_W))
     records, warnings_ = [], []

@@ -10,6 +10,13 @@ over phi > 0 with lumped-mass normalization int phi^2 = 1.  E is
 the closing mu is ``w_beta`` at f_min.  Descent directions are
 preconditioned by the operator M + 8 tau K (+ boundary part), which keeps
 the iteration count essentially independent of the mesh size.
+
+The default start is the Gaussian exp(-r^2 / 8 tau) plus a 1e-3 offset.  With
+beta = 0 and a tau the mesh does not resolve, the Gaussian is below the
+offset at every vertex, so the start is near the constant (and, once the
+Gaussian underflows, equal to it), an exact critical point (a saddle) that
+the descent would report as converged; ``minimize`` raises
+``ConvergenceError`` naming tau instead.
 """
 
 from __future__ import annotations
@@ -81,6 +88,13 @@ def minimize(
         # large domains); start from a Gaussian of the natural width instead
         xc = (ops.M_lumped @ ops.mesh.vertices) / ops.M_lumped.sum()
         r2 = np.sum((ops.mesh.vertices - xc) ** 2, axis=1)
+        if not bfull.any() and r2.min() > 8.0 * tau * np.log(1e3):
+            # the Gaussian sits below the offset at every vertex, so the
+            # start is near the constant saddle, which would pass as converged
+            raise ConvergenceError(
+                f"tau={tau:g} is not resolved by the mesh: the start Gaussian is "
+                "below its 1e-3 offset at every vertex; refine h or raise tau"
+            )
         phi = np.exp(-r2 / (8.0 * tau)) + 1e-3
     else:
         phi = np.abs(np.asarray(phi0, dtype=float)) + 1e-12

@@ -186,6 +186,16 @@ class TestPipelines:
         assert "entropy.csv" in manifest["outputs"]
         assert manifest["error"] is None
 
+    def test_entropy_at_an_unresolved_tau_fails(self, tmp_path, capsys):
+        # at tau 1e-10 the h 0.2 mesh does not resolve the start Gaussian; the
+        # constant start used to be reported as converged, mu 19.63, exit 0
+        rc = cli.main(["entropy", "--domain", "disk:1", "--h", "0.2", "--tau", "1e-10",
+                       "--out", str(tmp_path), "--tag", "t"])
+        assert rc == cli.EXIT_NUMERICAL
+        manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+        assert manifest["error"].startswith("ConvergenceError: tau=1e-10 ")
+        assert manifest["outputs"] == []
+
     def test_verify_manifest_echoes_the_running_suite(self, tmp_path, monkeypatch, capsys):
         passing = {"check": {"value": 0.0, "tol": 1.0, "ok": True}}
         flags = cli._SUITES["shrinker"][1]

@@ -63,10 +63,21 @@ class TestPatchFits:
         assert np.abs(g[:, 0] - gx).max() < 1e-8
         assert np.abs(g[:, 1] - gy).max() < 1e-8
 
+    def test_patch_fits_gradient_exact_on_cubics(self, disk_ops):
+        v = disk_ops.mesh.vertices
+        f = v[:, 0] ** 3 - 2.0 * v[:, 0] * v[:, 1] ** 2 + v[:, 1]
+        g = hk._patch_fits(disk_ops, f).grad
+        assert np.abs(g[:, 0] - (3.0 * v[:, 0] ** 2 - 2.0 * v[:, 1] ** 2)).max() < 1e-8
+        assert np.abs(g[:, 1] - (-4.0 * v[:, 0] * v[:, 1] + 1.0)).max() < 1e-8
+
     def test_hessian_exact_on_quadratics(self, disk_ops):
         v = disk_ops.mesh.vertices
         f = v[:, 0] ** 2 + 3.0 * v[:, 0] * v[:, 1] + 2.0 * v[:, 1] ** 2
-        H = hk._hessian_from_fits(disk_ops.mesh, f)
+        fits = hk._patch_fits(disk_ops, f)
+        # both the shared rows and the rows fitted again from the kept
+        # vertices are held exact
+        assert 0 < fits.shared < disk_ops.mesh.n_vertices
+        H = fits.hessian
         assert np.abs(H[:, 0, 0] - 2.0).max() < 1e-7
         assert np.abs(H[:, 0, 1] - 3.0).max() < 1e-7
         assert np.abs(H[:, 1, 1] - 4.0).max() < 1e-7
@@ -75,9 +86,8 @@ class TestPatchFits:
         v = disk_ops.mesh.vertices
         a = np.array([0.8, -1.1])
         W = v @ a
-        neighbors = hk._nearest(v, v, hk.PATCH_K)
-        g = hk._boundary_normal_gradient(disk_ops.mesh, W, neighbors)
-        nb = disk_ops.mesh.n_boundary
+        quad = hk._patch_fits(disk_ops, W).quad
+        g = hk._boundary_normal_gradient(disk_ops.mesh, W, quad, disk_ops.boundary)
         nu = disk_ops.mesh.boundary_curve().outward_normal()
         assert np.abs(g - nu @ a).max() < 1e-8
 
@@ -106,7 +116,7 @@ class TestPatchFits:
         f = np.sum(mesh.vertices**2, axis=1)
         # layer exclusion leaves too few interior fit points on this mesh
         with pytest.raises(hk.HarnackError):
-            hk._hessian_from_fits(mesh, f)
+            hk._patch_fits(fem.assemble(mesh), f)
 
 
 class TestVolumeTerm:
@@ -115,13 +125,13 @@ class TestVolumeTerm:
         v = disk_ops.mesh.vertices
         f = np.sum(v**2, axis=1) / (4.0 * TAU)
         u = np.exp(-f) / (4.0 * np.pi * TAU)
-        assert hk.volume_term(disk_ops, f, u, TAU) < 1e-12
+        assert hk.volume_term(disk_ops, hk._patch_fits(disk_ops, f), u, TAU) < 1e-12
 
     def test_positive_off_shrinker(self, disk_ops):
         v = disk_ops.mesh.vertices
         f = np.sum(v**2, axis=1) / (4.0 * TAU) + 0.3 * v[:, 0] ** 2
         u = np.exp(-f)
-        assert hk.volume_term(disk_ops, f, u, TAU) > 1e-3
+        assert hk.volume_term(disk_ops, hk._patch_fits(disk_ops, f), u, TAU) > 1e-3
 
 
 class TestBoundaryTerms:
@@ -145,7 +155,8 @@ class TestBoundaryTerms:
 
     def test_direct_vanishes(self, fields):
         ops, f, u, vel = fields
-        assert abs(hk.boundary_term_direct(ops, f, np.zeros_like(f), vel, u, TAU)) < 1e-12
+        fits = hk._patch_fits(ops, f)
+        assert abs(hk.boundary_term_direct(ops, fits, f, np.zeros_like(f), vel, u, TAU)) < 1e-12
 
     def test_harnack_vanishes_and_sees_a_wrong_rate(self, fields):
         ops, f, u, vel = fields
@@ -251,7 +262,8 @@ class TestThreadedEvaluation:
                 snaps[i].curve.curvature(), state.meshes[state.t0_index].boundary_param
             )
             assert one.records[i]["W_beta"] == functional.w_beta(ops, f, tau, beta).w_beta
-            assert one.records[i]["volume_term"] == hk.volume_term(ops, f, u, tau)
+            fits = hk._patch_fits(ops, f)
+            assert one.records[i]["volume_term"] == hk.volume_term(ops, fits, u, tau)
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_one_snapshot_of_operators_per_thread(
@@ -284,7 +296,7 @@ class TestThreadedEvaluation:
         monkeypatch.setattr(hk, "_workers", lambda: 4)
         real = hk.volume_term
 
-        def failing(ops, f, u, tau):
+        def failing(ops, fits, u, tau):
             # snapshot 3 fails first, snapshot 2 later: 2 is what a serial
             # loop would have raised
             i = next(i for i, m in enumerate(shrinker_state.meshes) if m is ops.mesh)
@@ -292,7 +304,7 @@ class TestThreadedEvaluation:
                 time.sleep(0.05)
             if i in (2, 3):
                 raise hk.HarnackError(f"snapshot {i}")
-            return real(ops, f, u, tau)
+            return real(ops, fits, u, tau)
 
         monkeypatch.setattr(hk, "volume_term", failing)
         with pytest.raises(hk.HarnackError, match="snapshot 2"):

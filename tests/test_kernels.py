@@ -377,21 +377,29 @@ def _random_mesh(seed):
 meshes = dict(seed=st.integers(0, 2**32 - 1))
 
 
-def _check_shared_patch_fits(mesh, rng):
-    """``harnack._patch_fits`` against the standalone Hessian and W fits."""
+def _check_shared_patch_fits(mesh):
+    """``harnack._patch_fits`` against separate Hessian and all-vertex fits.
+
+    The Hessian is fitted at every vertex from its PATCH_K nearest kept
+    vertices, the gradient from its PATCH_K nearest vertices, with no row
+    shared between the two.
+    """
     v, nb, k = mesh.vertices, mesh.n_boundary, harnack.QUAD_K
     f = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1]) + v[:, 0] * v[:, 1] ** 2
+    ops = fem.assemble(mesh)
+    keep = harnack._kept_vertices(mesh, ops.boundary)
     try:
-        H = harnack._hessian_from_fits(mesh, f)
+        d, idx = harnack._nearest(v[keep], v, harnack.PATCH_K)
+        H = harnack._hessian(*harnack._poly_fit(mesh, f, v, 3, (d, keep[idx])))
     except harnack.HarnackError:  # too few kept vertices for a cubic
         with pytest.raises(harnack.HarnackError):
-            harnack._patch_fits(mesh, mesh.boundary_curve(), f)
+            harnack._patch_fits(ops, f)
         return None
-    fits = harnack._patch_fits(mesh, mesh.boundary_curve(), f)
+    fits = harnack._patch_fits(ops, f)
     assert np.array_equal(fits.hessian, H)
-    dfdt, vel = rng.normal(size=len(v)), rng.normal(size=v.shape)
-    W, (d, idx) = harnack._nodal_w_field(mesh, f, dfdt, vel, 0.3)
-    assert np.array_equal(harnack._w_field(f, fits.grad, dfdt, vel, 0.3), W)
+    d, idx = harnack._nearest(v, v, harnack.PATCH_K)
+    c, R = harnack._poly_fit(mesh, f, v, 3, (d, idx))
+    assert np.array_equal(fits.grad, c[:, 1:3] / R[:, None])
     assert np.array_equal(fits.quad[0], d[:nb, :k])
     assert np.array_equal(fits.quad[1], idx[:nb, :k])
     return fits
@@ -499,7 +507,8 @@ class TestNumericKernelsAgainstOracles:
         assert np.array_equal(d[:nb, : harnack.QUAD_K], d_ref)
         assert np.array_equal(idx[:nb, : harnack.QUAD_K], idx_ref)
         W = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1])
-        reused = harnack._boundary_normal_gradient(mesh, W, (d, idx))
+        prefix = d[:nb, : harnack.QUAD_K], idx[:nb, : harnack.QUAD_K]
+        reused = harnack._boundary_normal_gradient(mesh, W, prefix, mesh.boundary_curve())
         c, R = oracles.poly_fit(mesh, W, v[:nb], 2, k=harnack.QUAD_K)
         nu = mesh.boundary_curve().outward_normal()
         fresh = np.einsum("ij,ij->i", c[:, 1:3] / R[:, None], nu)
@@ -570,13 +579,12 @@ class TestNumericKernelsAgainstOracles:
     @given(**meshes)
     @settings(max_examples=20, deadline=None)
     def test_shared_patch_fits_on_random_meshes(self, seed):
-        mesh, rng = _random_mesh(seed)
-        _check_shared_patch_fits(mesh, rng)
+        _check_shared_patch_fits(_random_mesh(seed)[0])
 
     def test_shared_patch_fits_on_a_symmetric_mesh(self):
         # many tied distances; some rows share their fit and some do not
         mesh = triangulate(PlanarCurve.circle(1.0, 256), 0.1)
-        fits = _check_shared_patch_fits(mesh, np.random.default_rng(3))
+        fits = _check_shared_patch_fits(mesh)
         assert 0 < fits.shared < mesh.n_vertices
 
     def test_ale_rejects_inverted_mesh(self, small_mesh):

@@ -81,6 +81,14 @@ class TestRobustness:
         assert not res.converged
         assert any("not converged" in w for w in res.warnings)
 
+    def test_unresolved_tau_rejected(self):
+        # with beta = 0 and tau far below the mesh scale the start Gaussian
+        # is below its offset at every vertex: the start is the constant
+        # saddle, an exact critical point that would pass as converged
+        ops = fem.assemble(triangulate(PlanarCurve.circle(1.0, 256), 0.05))
+        with pytest.raises(mz.ConvergenceError, match="tau=1e-06"):
+            mz.minimize(ops, 1e-6, 0.0)
+
     def test_invalid_tau(self, disk_ops):
         with pytest.raises(fn.FunctionalError):
             mz.minimize(disk_ops, 0.0, 1.0)
