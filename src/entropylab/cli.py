@@ -400,6 +400,8 @@ def _run_entropy(cfg: RunConfig, out: str, warnings_: list):
         "el_residual": result.el_residual,
         "mu_multiplier": result.mu_multiplier,
         "iterations": result.iterations,
+        "backtracks": result.backtracks,
+        "restarts": result.restarts,
         "h": mesh.h,
         "n_vertices": mesh.n_vertices,
     }

@@ -26,13 +26,16 @@ curves: the boundary velocity is the boundary rows of the mesh velocity.
 
 A snapshot's terms read only its own fields and its stencil neighbours'
 arrays, so ``rate_identity_check`` evaluates the snapshots in one pass on one
-thread per CPU the process may run on, the calling thread included (numpy's
-solves and products and scipy's k-d tree queries release the GIL).  Each
-thread builds a snapshot's operators, uses them and drops them before it
-takes the next snapshot, so at most one snapshot's operators per thread are
-alive.  Results are collected in snapshot order, and no snapshot's arithmetic
-depends on the others, so the records are the same bit for bit whatever the
-thread count.
+thread per CPU the process may run on, the calling thread included.  numpy's
+solves and products release the GIL, but scipy's k-d tree queries barely
+overlap: on scipy 1.17.1, two threads each running ``cKDTree(v).query(v,
+51)`` 40 times get 1.0x one thread's throughput on a 472-vertex shrinker
+snapshot mesh and 1.34x on a 1,335-vertex ellipse mesh, where two processes
+reach about 1.4x on the 472-vertex mesh.  Each thread builds a snapshot's
+operators, uses them and drops them before it takes the next snapshot, so at
+most one snapshot's operators per thread are alive.  Results are collected
+in snapshot order, and no snapshot's arithmetic depends on the others, so
+the records are the same bit for bit whatever the thread count.
 The patch fits build their design matrices FIT_BLOCK centers at a time: a
 whole snapshot's (centers, coefficients, neighbours) matrix is megabytes,
 and with two snapshots in flight it set the peak memory.

@@ -175,6 +175,11 @@ class TestPipelines:
         assert rc == cli.EXIT_OK
         payload = json.loads((tmp_path / "t1" / "entropy.json").read_text())
         assert float(payload["mu"]) == pytest.approx(np.log(1 - np.exp(-0.5)), abs=5e-3)
+        for count in ("iterations", "backtracks", "restarts"):
+            assert isinstance(payload[count], int) and payload[count] >= 0
+        # the csv columns stay as they were
+        header = (tmp_path / "t1" / "entropy.csv").read_text().splitlines()[0]
+        assert header == "tag,tau,mu,W_constancy,el_residual,iterations"
         manifest = json.loads((tmp_path / "t1" / "manifest.json").read_text())
         assert manifest["config"]["subcommand"] == "entropy"
         # only the settings entropy reads are echoed, and hashed

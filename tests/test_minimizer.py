@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from entropylab import fem, functional as fn, minimizer as mz
 from entropylab.geometry import PlanarCurve
 from entropylab.meshing import triangulate
+from test_kernels import _random_mesh, meshes
 
 TAU = 0.5
 MU_DISK = np.log(1.0 - np.exp(-0.5))
@@ -93,11 +96,52 @@ class TestRobustness:
         with pytest.raises(fn.FunctionalError):
             mz.minimize(disk_ops, 0.0, 1.0)
 
+    def test_invalid_max_iter(self, disk_ops):
+        # with no iteration there is no residual for the warning to report
+        with pytest.raises(fn.FunctionalError, match="max_iter"):
+            mz.minimize(disk_ops, TAU, 1.0, max_iter=0)
+
     def test_vector_beta_matches_scalar(self, disk_ops):
         nb = disk_ops.mesh.n_boundary
         r1 = mz.minimize(disk_ops, TAU, 1.0)
         r2 = mz.minimize(disk_ops, TAU, np.ones(nb))
         assert r1.mu == pytest.approx(r2.mu, abs=1e-12)
+
+
+class TestConjugateDirections:
+    def test_flat_mode_of_a_large_disk(self):
+        # a Gaussian of width 2 in a disk of radius 6 with beta = 0 sits on a
+        # nearly flat mode, which preconditioned steepest descent needs 135
+        # iterations to cross; the Polak-Ribiere+ directions need about 46
+        ops = fem.assemble(triangulate(PlanarCurve.circle(6.0, 512), 0.25))
+        assert ops.mesh.n_vertices == 2120
+        res = mz.minimize(ops, TAU, 0.0, tol=1e-7)
+        assert res.converged
+        assert res.iterations <= 80
+        assert res.mu == pytest.approx(-3.930415002e-3, abs=1e-10)
+        assert 0 <= res.restarts < res.iterations
+        assert res.backtracks >= 0
+
+
+def _check_preconditioner_factor(ops, tau, beta, rng):
+    # SuperLU's symmetric mode assumes a symmetric matrix and diagonal pivots
+    assert (ops.K != ops.K.T).nnz == 0
+    P, solve = mz._preconditioner(ops, tau, fn._beta_full(ops, beta))
+    assert (P != P.T).nnz == 0
+    b = rng.standard_normal(ops.mesh.n_vertices)
+    x = solve(b)
+    assert np.linalg.norm(P @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+class TestPreconditionerFactor:
+    @given(**meshes, tau=st.floats(0.01, 2.0), beta=st.floats(-3.0, 3.0))
+    @settings(max_examples=25, deadline=None)
+    def test_random_meshes(self, seed, tau, beta):
+        mesh, rng = _random_mesh(seed)
+        _check_preconditioner_factor(fem.assemble(mesh), tau, beta, rng)
+
+    def test_disk_mesh(self, disk_ops):
+        _check_preconditioner_factor(disk_ops, TAU, 1.0, np.random.default_rng(5))
 
 
 class TestEulerLagrange:
