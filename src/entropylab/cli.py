@@ -5,9 +5,10 @@ logsobolev, verify}.  Every run writes a JSON manifest (config echo,
 versions, input hashes, wall time, output list, warnings, and the error of a
 run that fails with exit 3 or 4) atomically at the end; CSV outputs
 serialize floats with 17 significant digits so reruns with an identical
-config and seed are byte-identical.  The harnack pipeline
-caches its flow and backward-solve stages under a hash of the exact inputs
-that feed them and of the package's code.
+config and seed are byte-identical.  The mesh, flow and backward-solve
+stages are cached in one store under ``--out``, shared by every tag, under a
+hash of the exact inputs that feed them and of the package's code; the
+manifest logs each stage's key and whether it hit.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure,
 4 acceptance-suite failure.
@@ -324,6 +325,7 @@ class RunManifest:
     input_hashes: dict
     outputs: list
     warnings: list = field(default_factory=list)
+    cache: dict = field(default_factory=dict)  # stage -> {"key", "hit"}
     error: str | None = None  # set when the run failed (exit 3 or 4)
 
     def write(self, path: str):
@@ -345,11 +347,14 @@ def _code_fingerprint() -> str:
 
 class _Cache:
     """Pickle store for expensive pipeline stages, keyed by a hash of their
-    inputs and of the code fingerprint (entries of other code never match)."""
+    inputs and of the code fingerprint (entries of other code never match).
+
+    The store is content-addressed, so every run under one root shares it;
+    its directory is made on the first write.
+    """
 
     def __init__(self, root: str):
         self.dir = os.path.join(root, "cache")
-        os.makedirs(self.dir, exist_ok=True)
         self.log = {}
         self.code = _code_fingerprint()
 
@@ -361,6 +366,7 @@ class _Cache:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
         value = fn()
+        os.makedirs(self.dir, exist_ok=True)
         _atomic_write(path, pickle.dumps(value))
         self.log[stage] = {"key": key, "hit": False}
         return value
@@ -381,9 +387,21 @@ def _require_curve(domain, m: int = _CURVE_M):
     return domain
 
 
-def _run_entropy(cfg: RunConfig, out: str, warnings_: list):
+def _curve_hash(curve) -> str:
+    """sha256 of a curve's vertices: cache keys name the curve, not the spec
+    text, since a file: domain may change on disk."""
+    return hashlib.sha256(curve.vertices.tobytes()).hexdigest()
+
+
+def _mesh_stage(curve, h: float, cache: _Cache):
+    """The cached mesh of ``curve`` at target size h."""
+    return cache.get_or_run("mesh", {"curve": _curve_hash(curve), "h": h},
+                            lambda: meshing.triangulate(curve, h))
+
+
+def _run_entropy(cfg: RunConfig, out: str, cache: _Cache, warnings_: list):
     curve = _require_curve(parse_domain(cfg.domain))
-    mesh = meshing.triangulate(curve, cfg.h)
+    mesh = _mesh_stage(curve, cfg.h, cache)
     ops = fem.assemble(mesh)
     beta = _beta_for_mesh(cfg, curve, mesh)
     result = minimizer.minimize(ops, cfg.tau, beta, tol=cfg.tol)
@@ -430,10 +448,9 @@ def _flow_stage(cfg: RunConfig, cache: _Cache, warnings_: list):
     resampled linearly by vertex index.
     """
     curve = _require_curve(parse_domain(cfg.domain, cfg.vertices), cfg.vertices)
-    # keyed by the curve, not the spec text: a file: domain may change on disk
     key = {name: getattr(cfg, name) for name in _FLOW_CHAIN
            if name not in ("domain", "h")}
-    key["curve"] = hashlib.sha256(curve.vertices.tobytes()).hexdigest()
+    key["curve"] = _curve_hash(curve)
 
     def run():
         c = curve
@@ -459,8 +476,8 @@ def _flow_stage(cfg: RunConfig, cache: _Cache, warnings_: list):
     return traj, key
 
 
-def _run_flow(cfg: RunConfig, out: str, warnings_: list):
-    traj, _ = _flow_stage(cfg, _Cache(out), warnings_)
+def _run_flow(cfg: RunConfig, out: str, cache: _Cache, warnings_: list):
+    traj, _ = _flow_stage(cfg, cache, warnings_)
     return [
         _write_table(
             os.path.join(out, "flow.csv"),
@@ -492,8 +509,8 @@ def _conjugate_stage(cfg: RunConfig, cache: _Cache, warnings_: list):
     return state
 
 
-def _run_conjugate(cfg: RunConfig, out: str, warnings_: list):
-    state = _conjugate_stage(cfg, _Cache(out), warnings_)
+def _run_conjugate(cfg: RunConfig, out: str, cache: _Cache, warnings_: list):
+    state = _conjugate_stage(cfg, cache, warnings_)
     return [
         _write_table(os.path.join(out, "conservation.csv"), ("t", "mass"),
                      state.conservation_log),
@@ -510,8 +527,8 @@ def _run_conjugate(cfg: RunConfig, out: str, warnings_: list):
     ]
 
 
-def _run_harnack(cfg: RunConfig, out: str, warnings_: list):
-    state = _conjugate_stage(cfg, _Cache(out), warnings_)
+def _run_harnack(cfg: RunConfig, out: str, cache: _Cache, warnings_: list):
+    state = _conjugate_stage(cfg, cache, warnings_)
     report = harnack.rate_identity_check(state, skip=cfg.skip)
     warnings_.extend(report.meta.get("warnings", []))
     return [
@@ -532,7 +549,7 @@ def _run_harnack(cfg: RunConfig, out: str, warnings_: list):
     ]
 
 
-def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
+def _run_collapse(cfg: RunConfig, out: str, cache: _Cache, warnings_: list):
     domain = parse_domain(cfg.domain)
     radii = parse_radii(cfg.radii)
     centers = parse_centers(cfg.centers, radii, domain.dim)
@@ -554,9 +571,9 @@ def _run_collapse(cfg: RunConfig, out: str, warnings_: list):
     ]
 
 
-def _run_logsobolev(cfg: RunConfig, out: str, warnings_: list):
+def _run_logsobolev(cfg: RunConfig, out: str, cache: _Cache, warnings_: list):
     curve = _require_curve(parse_domain(cfg.domain))
-    ops = fem.assemble(meshing.triangulate(curve, cfg.h))
+    ops = fem.assemble(_mesh_stage(curve, cfg.h, cache))
     eps_list = parse_eps(cfg.eps)
     consts, rows = functional.log_sobolev_battery(ops, eps_list, cfg.fields, cfg.seed)
     violations = sum(not holds for *_, holds in rows)
@@ -573,7 +590,7 @@ def _run_logsobolev(cfg: RunConfig, out: str, warnings_: list):
     ]
 
 
-def _run_verify(cfg: RunConfig, out: str, warnings_: list):
+def _run_verify(cfg: RunConfig, out: str, cache: _Cache, warnings_: list):
     suite, names = _SUITES[cfg.suite]
     checks = suite(**{name: getattr(cfg, name) for name in names})
     jpath = _write_json(os.path.join(out, f"verify-{cfg.suite}.json"), checks)
@@ -716,11 +733,12 @@ def run(cfg: RunConfig) -> RunManifest:
     out = os.path.join(cfg.out, cfg.tag)
     os.makedirs(out, exist_ok=True)
     warnings_: list = []
+    cache = _Cache(cfg.out)
     start = time.monotonic()
     pipeline, _, names = _PIPELINES[cfg.subcommand]
     failure = None
     try:
-        outputs = pipeline(cfg, out, warnings_)
+        outputs = pipeline(cfg, out, cache, warnings_)
     except (AcceptanceFailure,) + _NUMERICAL_ERRORS as e:
         failure, outputs = e, getattr(e, "outputs", [])
     if cfg.subcommand == "verify":
@@ -740,6 +758,7 @@ def run(cfg: RunConfig) -> RunManifest:
         input_hashes={"config": _hash_obj(config)},
         outputs=[os.path.relpath(p, out) for p in outputs],
         warnings=warnings_,
+        cache=cache.log,
         error=None if failure is None else f"{type(failure).__name__}: {failure}",
     )
     manifest.write(os.path.join(out, "manifest.json"))

@@ -6,11 +6,17 @@ relaxed by a few Lloyd-style smoothing sweeps and triangulated with a
 Delaunay kernel.  Each attempt calls Qhull once; the later sweeps and the
 final triangulation keep its triangles while a test with margins far past
 its rounding error shows they are still the Delaunay triangulation of the
-moved points, and call Qhull again when it does not.  Triangles are stored in a canonical order, so the mesh
-does not depend on which of the two supplied them.  Boundary vertices keep
-a map back to the generating curve (fractional index along the source
-polyline) so that fields given per curve vertex can be transferred to the
-mesh boundary.
+moved points, and call Qhull again when it does not.  Triangles are stored
+in a canonical order, so the mesh does not depend on which of the two
+supplied them.  Boundary vertices keep a map back to the generating curve
+(fractional index along the source polyline) so that fields given per curve
+vertex can be transferred to the mesh boundary.
+
+The passes after seeding skip the points and triangles whose result is
+already fixed, and give the mesh of whole-mesh passes bit for bit (see
+``triangulate``): the quads come from Qhull's neighbours, a smoothing sweep
+tests only the moved points that could fail, and the centroid and
+conformity tests read only triangles with boundary vertices.
 """
 
 from __future__ import annotations
@@ -161,9 +167,11 @@ def _points_polyline_distance(points, loop, cutoff: float) -> np.ndarray:
 def _lost_boundary_edges(simplices, nb: int, n_vertices: int) -> np.ndarray:
     """Ascending indices i of boundary edges (i, i+1 mod nb) no triangle has.
 
-    Edges are compared as sorted int64 keys min * n_vertices + max.
+    Only triangles with two or more boundary vertices can hold a boundary
+    edge, so only they are read.  Edges are compared as sorted int64 keys
+    min * n_vertices + max.
     """
-    a = simplices.astype(np.int64)
+    a = simplices[np.count_nonzero(simplices < nb, axis=1) >= 2].astype(np.int64)
     b = np.roll(a, -1, axis=1)
     keys = np.unique(np.minimum(a, b) * n_vertices + np.maximum(a, b))
     i = np.arange(nb, dtype=np.int64)
@@ -179,25 +187,37 @@ def _delaunay(pts):
     index, and the rows are sorted.  A mesh built on it depends only on the
     triangle set, so keeping a set that is still Delaunay gives the mesh a
     fresh Qhull call would give, bit for bit.  Each row (a, b, c, d) of the
-    quads is an interior edge a-b with its triangles (a, b, c) and (b, a, d).
-    They are None when Qhull left a point out, which rules out keeping them.
+    quads is an interior edge a-b with its triangles (a, b, c) and (b, a, d),
+    one row per edge (a < b), in the order of the half-edges (row, column).
+    Qhull's neighbour opposite each vertex is carried through the same
+    reorientation, rotation and row sort, so no half-edge has to be matched
+    with its twin.  The quads are None when Qhull left a point out, which
+    rules out keeping them.
     """
-    tris = Delaunay(pts).simplices
+    dt = Delaunay(pts)
+    tris, nbrs = dt.simplices, dt.neighbors
     t1, t2 = _orientation_terms(pts, tris)
     flip = t1 - t2 < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
-    first = tris.argmin(axis=1)[:, None]
-    tris = np.take_along_axis(tris, (first + np.arange(3)) % 3, axis=1)
-    tris = tris[np.lexsort(tris.T[::-1])]
+    nbrs[flip] = nbrs[flip][:, [0, 2, 1]]
+    turn = (tris.argmin(axis=1)[:, None] + np.arange(3)) % 3
+    tris = np.take_along_axis(tris, turn, axis=1)
+    nbrs = np.take_along_axis(nbrs, turn, axis=1)
+    order = np.lexsort(tris.T[::-1])
+    tris, nbrs = tris[order], nbrs[order]
     if np.bincount(tris.ravel(), minlength=len(pts)).min() == 0:
         return tris, None
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
     e = tris.astype(np.int64)
     a, b, c = e.ravel(), e[:, [1, 2, 0]].ravel(), e[:, [2, 0, 1]].ravel()
-    key, rev = a * len(pts) + b, b * len(pts) + a
-    order = np.argsort(key)
-    twin = order[np.minimum(np.searchsorted(key, rev, sorter=order), len(key) - 1)]
-    half = (a < b) & (key[twin] == rev)
-    return tris, np.column_stack([a[half], b[half], c[half], c[twin[half]]])
+    # the edge (a, b) of a half-edge is opposite its c, whose neighbour is the
+    # twin triangle; its third vertex is the one not on the edge
+    twin = nbrs[:, [2, 0, 1]].ravel()
+    half = (a < b) & (twin >= 0)
+    a, b, c = a[half], b[half], c[half]
+    d = e.sum(axis=1)[rank[twin[half]]] - a - b
+    return tris, np.column_stack([a, b, c, d])
 
 
 def _locally_delaunay(pts, quads) -> np.ndarray:
@@ -303,8 +323,30 @@ def triangulate(curve: PlanarCurve, h: float) -> TriMesh:
 
     The hex-lattice seeding occasionally beats against the boundary layer for
     unlucky (curve, h) combinations; a few nearby effective sizes are tried
-    before giving up, so the quality guarantee (no angle below MIN_ANGLE) is kept without making the
-    caller hunt for a good h.
+    before giving up, so the quality guarantee (no angle below MIN_ANGLE) is
+    kept without making the caller hunt for a good h.
+
+    Each attempt restricts its passes where the result is already known, so
+    the mesh, or the error raised, is that of passes over the whole mesh:
+
+    - The quads of an interior edge pair each half-edge with the triangle
+      Qhull lists opposite its third vertex, carried through the canonical
+      reordering; that is the triangle holding the reversed half-edge.
+    - A smoothing sweep keeps a lower bound on each interior point's distance
+      to the boundary: exact where last measured (to 2 h_eff), less each step
+      since (triangle inequality).  A moved point whose bound minus its step
+      is at least 0.5 h_eff, plus a slack far past rounding, is inside and far
+      enough from the boundary, so the containment and distance tests, which
+      only it could fail, run on the other points alone.
+    - Once every boundary edge is a mesh edge, a triangle lies inside or
+      outside whole, and one of three interior vertices lies inside, so only
+      triangles with a boundary vertex take the centroid test.  If an edge is
+      lost, the conformity error is raised as before: it reads only triangles
+      with two boundary vertices, which are the only ones holding a boundary
+      edge and are classified as before.  The degenerate-triangle check that
+      runs first then also sees the triangles of interior vertices outside
+      the curve; none of them is flat, as Delaunay triangles of points
+      strictly inside the hull.
     """
     last_err = None
     for factor in (1.0, 0.97, 1.03, 0.94, 1.06, 0.91):
@@ -340,12 +382,19 @@ def _triangulate_once(
     margin = 2 * h_eff
     bbox = (bpts.min(axis=0) - margin, bpts.max(axis=0) + margin)
     cand = _hex_lattice(bbox, h_eff)
+    # clear: a lower bound on each interior point's distance to the boundary,
+    # exact below ``wide`` (the distances are measured that far)
+    wide = 2.0 * h_eff
+    clear = np.empty(0)
     if len(cand):
         inside = bcurve.contains_points(cand)
         cand = cand[inside]
-        dist = _points_polyline_distance(cand, bpts, 0.65 * h_eff)
-        cand = cand[dist >= 0.65 * h_eff]
+        dist = _points_polyline_distance(cand, bpts, wide)
+        keep = dist >= 0.65 * h_eff
+        cand, clear = cand[keep], np.minimum(dist[keep], wide)
     interior = cand
+    # rounding of the distances and steps, far below any distance compared
+    slack = 1e-9 * h_eff + 1e-12 * (1.0 + np.abs(bpts).max())
 
     pts = np.vstack([bpts, interior]) if len(interior) else bpts.copy()
 
@@ -367,16 +416,28 @@ def _triangulate_once(
         target = acc / np.maximum(cnt, 1.0)[:, None]
         moved = pts.copy()
         moved[nb:] = target[nb:]
-        ok = bcurve.contains_points(moved[nb:])
-        d = _points_polyline_distance(moved[nb:], bpts, 0.5 * h_eff)
-        ok &= d >= 0.5 * h_eff
-        bad = ~ok
+        step = np.linalg.norm(moved[nb:] - pts[nb:], axis=1)
+        # a point whose bound minus its step clears 0.5 h_eff passes both
+        # tests (see ``triangulate``), so only the others take them
+        test = np.flatnonzero(clear - step < 0.5 * h_eff + slack)
+        q = moved[nb:][test]
+        d = _points_polyline_distance(q, bpts, wide)
+        ok = bcurve.contains_points(q) & (d >= 0.5 * h_eff)
+        bad = test[~ok]
         moved[nb:][bad] = pts[nb:][bad]
+        # the triangle inequality carries the bound of an untested point
+        clear_tested = np.where(ok, np.minimum(d, wide), clear[test])
+        clear -= step
+        clear[test] = clear_tested
         pts = moved
 
     if not _still_delaunay(pts, tris, quads, nb, bcurve):
         tris, quads = _delaunay(pts)
-    simplices = tris[bcurve.contains_points(pts[tris].mean(axis=1))]
+    # a triangle of three interior vertices is inside (see ``triangulate``)
+    rim = np.flatnonzero((tris < nb).any(axis=1))
+    inside = np.ones(len(tris), dtype=bool)
+    inside[rim] = bcurve.contains_points(pts[tris[rim]].mean(axis=1))
+    simplices = tris[inside]
 
     mesh = TriMesh(pts, simplices, nb, bparam, h_eff)
 

@@ -21,11 +21,13 @@ The conjugate directions cross the nearly flat mode of a Gaussian in a large
 disk with beta = 0 in a third of steepest descent's iterations.
 
 The default start is the Gaussian exp(-r^2 / 8 tau) plus a 1e-3 offset.  With
-beta = 0 and a tau the mesh does not resolve, the Gaussian is below the
-offset at every vertex, so the start is near the constant (and, once the
-Gaussian underflows, equal to it), an exact critical point (a saddle) that
-the descent would report as converged; ``minimize`` raises
-``ConvergenceError`` naming tau instead.
+a tau the mesh does not resolve, the Gaussian is below the offset at every
+vertex, so the start is near the constant (and, once the Gaussian
+underflows, equal to it).  With beta = 0 that is an exact critical point (a
+saddle) that the descent would report as converged; with the radial and
+mean-curvature beta of a disk, the descent floored phi on nearly every
+vertex and spent its whole iteration budget.  Whatever beta is,
+``minimize`` raises ``ConvergenceError`` naming tau instead.
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ def minimize(
         # large domains); start from a Gaussian of the natural width instead
         xc = (ops.M_lumped @ ops.mesh.vertices) / ops.M_lumped.sum()
         r2 = np.sum((ops.mesh.vertices - xc) ** 2, axis=1)
-        if not bfull.any() and r2.min() > 8.0 * tau * np.log(1e3):
+        if r2.min() > 8.0 * tau * np.log(1e3):
             # the Gaussian sits below the offset at every vertex, so the
-            # start is near the constant saddle, which would pass as converged
+            # start is near the constant: for beta = 0 the saddle that would
+            # pass as converged, and no start for any other beta either
             raise ConvergenceError(
                 f"tau={tau:g} is not resolved by the mesh: the start Gaussian is "
                 "below its 1e-3 offset at every vertex; refine h or raise tau"

@@ -27,7 +27,13 @@ piece, and tests analytic membership by the masked gather and scatter that
 the library replaces with one pass over every row.  W_beta in the f form
 sums the gradient, potential and boundary terms of a normalized f, where
 the library evaluates one energy in the phi = sqrt(u) form.  The ellipse's curvature and the cos^2 cutoff profile
-are closed forms that only tests evaluate.
+are closed forms that only tests evaluate.  ``triangulate_whole_mesh`` is the
+mesh generator with every pass over the whole mesh: quads from matching each
+sorted half-edge key with its reverse, the distance and containment tests of
+every interior point in every sweep, the centroid test of every triangle and
+the conformity test over all triangles; the library restricts each pass to
+the points or triangles whose result is not already fixed, and must give the
+same mesh, or raise the same error, bit for bit.
 """
 
 import math
@@ -39,7 +45,8 @@ import scipy.sparse.linalg as spl
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from entropylab import flow, functional
+from entropylab import flow, functional, meshing
+from entropylab.geometry import GeometryError, PlanarCurve
 
 
 def points_polyline_distance(points, loop, chunk=4096):
@@ -144,6 +151,103 @@ def lost_boundary_edges(simplices, nb, n_vertices=None):
         [i for i in range(nb) if frozenset((i, (i + 1) % nb)) not in edges],
         dtype=np.intp,
     )
+
+
+def delaunay_half_edges(pts):
+    """Canonical Delaunay triangles and quads, the quads by half-edge keys.
+
+    Each half-edge (a, b) is keyed a * n + b and matched with the key of its
+    reverse through one argsort; a quad is kept for a < b when the reverse
+    exists, and d is the third vertex of the reverse's triangle.
+    """
+    tris = meshing.Delaunay(pts).simplices
+    t1, t2 = meshing._orientation_terms(pts, tris)
+    flip = t1 - t2 < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    first = tris.argmin(axis=1)[:, None]
+    tris = np.take_along_axis(tris, (first + np.arange(3)) % 3, axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
+    if np.bincount(tris.ravel(), minlength=len(pts)).min() == 0:
+        return tris, None
+    e = tris.astype(np.int64)
+    a, b, c = e.ravel(), e[:, [1, 2, 0]].ravel(), e[:, [2, 0, 1]].ravel()
+    key, rev = a * len(pts) + b, b * len(pts) + a
+    order = np.argsort(key)
+    twin = order[np.minimum(np.searchsorted(key, rev, sorter=order), len(key) - 1)]
+    half = (a < b) & (key[twin] == rev)
+    return tris, np.column_stack([a[half], b[half], c[half], c[twin[half]]])
+
+
+def triangulate_whole_mesh(curve, h):
+    """``meshing.triangulate`` with each pass over every point or triangle."""
+    last_err = None
+    for factor in (1.0, 0.97, 1.03, 0.94, 1.06, 0.91):
+        try:
+            return _triangulate_once_whole_mesh(
+                curve, h, h * factor, meshing.SMOOTHING_SWEEPS + (factor != 1.0) * 2
+            )
+        except meshing.MeshQualityError as err:
+            last_err = err
+    raise last_err
+
+
+def _triangulate_once_whole_mesh(curve, h, h_eff, smoothing_sweeps):
+    if not curve.ccw:
+        raise GeometryError("curve must be counter-clockwise")
+    span = np.ptp(curve.vertices, axis=0) + 4 * h_eff
+    n_lattice = (span[0] / h_eff + 1) * (span[1] / (h_eff * np.sqrt(3) / 2) + 1)
+    if n_lattice > meshing.MAX_LATTICE_POINTS:
+        raise GeometryError(f"h {h:g} seeds about {n_lattice:.2g} lattice points")
+    bpts, bparam = meshing.refine_boundary(curve, h_eff)
+    bcurve = PlanarCurve(bpts, check_embedded=False)
+    nb = len(bpts)
+    distance = meshing._points_polyline_distance
+
+    margin = 2 * h_eff
+    cand = meshing._hex_lattice((bpts.min(axis=0) - margin, bpts.max(axis=0) + margin),
+                                h_eff)
+    if len(cand):
+        cand = cand[bcurve.contains_points(cand)]
+        cand = cand[distance(cand, bpts, 0.65 * h_eff) >= 0.65 * h_eff]
+    pts = np.vstack([bpts, cand]) if len(cand) else bpts.copy()
+
+    tris = quads = None
+    for _ in range(smoothing_sweeps):
+        if not meshing._still_delaunay(pts, tris, quads, nb):
+            tris, quads = delaunay_half_edges(pts)
+        if len(pts) == nb:
+            break
+        src = np.concatenate([tris.ravel(), tris[:, [1, 2, 0]].ravel()])
+        nbr = pts[np.concatenate([tris[:, [1, 2, 0]].ravel(), tris.ravel()])]
+        acc = np.column_stack(
+            [np.bincount(src, weights=nbr[:, k], minlength=len(pts)) for k in (0, 1)]
+        )
+        target = acc / np.maximum(np.bincount(src, minlength=len(pts)), 1.0)[:, None]
+        moved = pts.copy()
+        moved[nb:] = target[nb:]
+        ok = bcurve.contains_points(moved[nb:])
+        ok &= distance(moved[nb:], bpts, 0.5 * h_eff) >= 0.5 * h_eff
+        moved[nb:][~ok] = pts[nb:][~ok]
+        pts = moved
+
+    if not meshing._still_delaunay(pts, tris, quads, nb, bcurve):
+        tris, quads = delaunay_half_edges(pts)
+    simplices = tris[bcurve.contains_points(pts[tris].mean(axis=1))]
+    mesh = meshing.TriMesh(pts, simplices, nb, bparam, h_eff)
+    lost = lost_boundary_edges(simplices, nb)
+    if len(lost):
+        i = int(lost[0])
+        raise meshing.MeshQualityError(
+            f"boundary edge ({i}, {(i + 1) % nb}) lost in triangulation"
+        )
+    angles = np.degrees(meshing._triangle_min_angles(pts, simplices))
+    if angles.min() < meshing.MIN_ANGLE:
+        worst = simplices[int(np.argmin(angles))]
+        raise meshing.MeshQualityError(
+            f"min angle {angles.min():.2f} deg < {meshing.MIN_ANGLE} deg "
+            f"(worst triangle vertices {pts[worst].tolist()})"
+        )
+    return mesh
 
 
 def _monomials(x, y, degree):

@@ -201,6 +201,66 @@ class TestPipelines:
         assert manifest["error"].startswith("ConvergenceError: tau=1e-10 ")
         assert manifest["outputs"] == []
 
+    def test_a_tau_sweep_meshes_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = meshing.triangulate
+
+        def counted(curve, h):
+            calls.append(h)
+            return real(curve, h)
+
+        monkeypatch.setattr(meshing, "triangulate", counted)
+        common = ["entropy", "--domain", "disk:1", "--h", "0.08", "--beta", "radial"]
+        for tau in ("0.5", "0.25"):
+            argv = common + ["--tau", tau, "--tag", f"tau{tau}"]
+            assert cli.main(argv + ["--out", str(tmp_path / "sweep")]) == cli.EXIT_OK
+            assert cli.main(argv + ["--out", str(tmp_path / f"alone{tau}")]) == cli.EXIT_OK
+        # once for the sweep, once for each run without a cache entry
+        assert calls == [0.08] * 3
+        hits = []
+        for tau in ("0.5", "0.25"):
+            run = tmp_path / "sweep" / f"tau{tau}"
+            alone = tmp_path / f"alone{tau}" / f"tau{tau}"
+            for name in ("entropy.csv", "entropy.json"):
+                assert (run / name).read_bytes() == (alone / name).read_bytes()
+            log = json.loads((run / "manifest.json").read_text())["cache"]
+            assert set(log) == {"mesh"}
+            hits.append(log["mesh"]["hit"])
+        assert hits == [False, True]
+        assert os.listdir(tmp_path / "sweep" / "cache") == [
+            f"mesh-{log['mesh']['key']}.pkl"
+        ]
+
+    def test_mesh_cache_misses_for_another_h_or_curve(self, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+
+        def mesh_hit(argv):
+            assert cli.main(argv + ["--out", str(tmp_path), "--tag", "m"]) == cli.EXIT_OK
+            manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+            return manifest["cache"]["mesh"]["hit"]
+
+        circle = PlanarCurve.circle(1.0, 128).vertices
+        path.write_text(json.dumps({"type": "polyline", "vertices": circle.tolist()}))
+        base = ["logsobolev", "--domain", f"file:{path}", "--fields", "2"]
+        assert not mesh_hit(base + ["--h", "0.1"])
+        assert mesh_hit(base + ["--h", "0.1"])
+        assert not mesh_hit(base + ["--h", "0.12"])
+        # the same spec text names another polyline once the file is rewritten
+        path.write_text(json.dumps({"type": "polyline",
+                                    "vertices": (0.9 * circle).tolist()}))
+        assert not mesh_hit(base + ["--h", "0.1"])
+        assert len(os.listdir(tmp_path / "cache")) == 3
+
+    def test_runs_that_cache_nothing_leave_no_cache(self, tmp_path, capsys):
+        # a collapse run caches no stage; an entropy run on a domain that is
+        # not a planar curve fails before meshing
+        assert cli.main(["collapse", "--domain", "analytic:slab:1:2", "--radii",
+                         "list:4", "--budget", "1000", "--out", str(tmp_path),
+                         "--tag", "c"]) == cli.EXIT_OK
+        assert cli.main(["entropy", "--domain", "analytic:slab:1:2",
+                         "--out", str(tmp_path), "--tag", "e"]) == cli.EXIT_VALIDATION
+        assert sorted(os.listdir(tmp_path)) == ["c"]
+
     def test_verify_manifest_echoes_the_running_suite(self, tmp_path, monkeypatch, capsys):
         passing = {"check": {"value": 0.0, "tol": 1.0, "ok": True}}
         flags = cli._SUITES["shrinker"][1]
@@ -211,6 +271,8 @@ class TestPipelines:
         assert set(manifest["config"]) == {
             "subcommand", "suite", "h", "steps_per_tau", "out", "tag"
         }
+        # no stage is cached, so no cache directory is made
+        assert manifest["cache"] == {} and not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("suite, flags, target, value, failed", [
         ("shrinker", ["--h", "0.04", "--steps-per-tau", "250"],
@@ -457,7 +519,7 @@ class TestPipelines:
             "--vertices", "128", "--out", str(tmp_path), "--tag", "f1",
         ]
         assert cli.main(args) == cli.EXIT_OK
-        cache_dir = tmp_path / "f1" / "cache"
+        cache_dir = tmp_path / "cache"
         entries = sorted(os.listdir(cache_dir))
         assert len(entries) == 1 and entries[0].startswith("flow-")
         first = (tmp_path / "f1" / "flow.csv").read_bytes()
@@ -493,6 +555,21 @@ class TestPipelines:
             outputs.append((tmp_path / name / "e" / "entropy.json").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_harnack_reuses_another_tags_stages(self, tmp_path, capsys):
+        common = ["--domain", "disk:1", "--vertices", "128", "--frac", "0.3",
+                  "--snapshots", "6", "--h", "0.1", "--steps-per-tau", "50",
+                  "--out", str(tmp_path)]
+        assert cli.main(["conjugate"] + common + ["--tag", "a"]) == cli.EXIT_OK
+        assert cli.main(["harnack", "--skip", "0"] + common + ["--tag", "b"]) == cli.EXIT_OK
+        logs = [json.loads((tmp_path / tag / "manifest.json").read_text())["cache"]
+                for tag in ("a", "b")]
+        assert {stage: entry["hit"] for stage, entry in logs[0].items()} == {
+            "flow": False, "conjugate": False}
+        assert {stage: entry["hit"] for stage, entry in logs[1].items()} == {
+            "flow": True, "conjugate": True}
+        assert logs[0]["conjugate"]["key"] == logs[1]["conjugate"]["key"]
+        assert not (tmp_path / "a" / "cache").exists()
+
     def test_clockwise_file_runs_the_flow_chain(self, tmp_path, capsys):
         cw = PlanarCurve.circle(1.0, 200).vertices[::-1]
         path = tmp_path / "cw.json"
@@ -509,7 +586,7 @@ class TestPipelines:
             "--vertices", "64", "--out", str(tmp_path), "--tag", "f3",
         ]
         assert cli.main(args) == cli.EXIT_OK
-        cache_dir = tmp_path / "f3" / "cache"
+        cache_dir = tmp_path / "cache"
         first = set(os.listdir(cache_dir))
         monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
         hits = []

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from entropylab import meshing
 from entropylab.geometry import PlanarCurve
 from entropylab.meshing import (
     MeshQualityError,
@@ -111,3 +115,79 @@ class TestTriMesh:
         assert np.allclose(d[near], depth[near], atol=5e-3)
         assert np.all(np.isinf(d[~near]))
         assert np.all(depth[~near] >= cutoff - 5e-3)
+
+
+def _star(m, k, amp, phase, wobble=0.05, scale=1.0):
+    """Counter-clockwise polygon r = scale (1 + amp cos(k th + phase) + wobble sin 3 th)."""
+    th = 2 * np.pi * np.arange(m) / m
+    r = scale * (1 + amp * np.cos(k * th + phase) + wobble * np.sin(3 * th))
+    return PlanarCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+
+
+def _outcome(fn, curve, h):
+    try:
+        return fn(curve, h)
+    except (MeshQualityError, ValueError) as err:
+        return err
+
+
+def _assert_same_outcome(curve, h):
+    fast = _outcome(triangulate, curve, h)
+    ref = _outcome(oracles.triangulate_whole_mesh, curve, h)
+    if isinstance(ref, Exception):
+        assert type(fast) is type(ref) and str(fast) == str(ref)
+        return
+    assert not isinstance(fast, Exception), fast
+    assert fast.n_boundary == ref.n_boundary
+    for name in ("vertices", "triangles", "h", "boundary_param"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+
+
+WHOLE_MESH_CASES = {
+    "disk_h0.02": (PlanarCurve.circle(1.0, 512), 0.02),
+    "disk_h0.03": (PlanarCurve.circle(1.0, 512), 0.03),
+    "small_disk_h0.05": (PlanarCurve.circle(0.7, 512), 0.05),
+    "disk_h0.08": (PlanarCurve.circle(1.0, 512), 0.08),
+    "ellipse_h0.03": (PlanarCurve.ellipse(1.2, 0.8, 512), 0.03),
+    "ellipse_h0.05": (PlanarCurve.ellipse(1.2, 0.8, 384), 0.05),
+    "thin_ellipse_h0.08": (PlanarCurve.ellipse(2.0, 0.5, 512), 0.08),
+    "trefoil_h0.02": (_star(512, 3, 0.15, 0.0, wobble=0.0), 0.02),
+    "trefoil_h0.05": (_star(512, 3, 0.15, 0.0, wobble=0.0), 0.05),
+    "star_h0.08": (_star(64, 3, 0.3, 0.0), 0.08),
+    # the three ways a mesh attempt fails, each on all six attempts
+    "star_degenerate": (_star(64, 3, 0.3, 0.0), 0.05),
+    "star_lost_edge": (_star(64, 3, 0.4, 0.0), 0.08),
+    "star_min_angle": (_star(200, 5, 0.4, 0.0), 0.08),
+}
+
+
+@pytest.mark.parametrize("curve, h", WHOLE_MESH_CASES.values(), ids=WHOLE_MESH_CASES)
+def test_restricted_passes_give_the_whole_mesh_result(curve, h):
+    _assert_same_outcome(curve, h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(48, 256),
+    k=st.integers(2, 6),
+    amp=st.floats(0.0, 0.4),
+    phase=st.floats(0.0, 2 * np.pi),
+    wobble=st.floats(0.0, 0.1),
+    scale=st.floats(0.3, 1.0),
+    h=st.sampled_from([0.02, 0.03, 0.05, 0.08]),
+)
+def test_restricted_passes_on_random_stars(m, k, amp, phase, wobble, scale, h):
+    # the star grows with h, so no mesh has more than about 400 vertices
+    _assert_same_outcome(_star(m, k, amp, phase, wobble, scale * h / 0.08), h)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_delaunay_quads_from_qhull_neighbours(seed):
+    rng = np.random.default_rng(seed)
+    # random points, a hex lattice and the lattice jittered by 1e-9
+    pts = [rng.random((300, 2)), meshing._hex_lattice(((0, 0), (1, 1)), 0.1)]
+    for p in pts + [pts[1] + 1e-9 * rng.standard_normal(pts[1].shape)]:
+        tris, quads = meshing._delaunay(p)
+        ref_tris, ref_quads = oracles.delaunay_half_edges(p)
+        assert np.array_equal(tris, ref_tris) and np.array_equal(quads, ref_quads)
+        assert quads.dtype == ref_quads.dtype

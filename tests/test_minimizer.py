@@ -84,13 +84,19 @@ class TestRobustness:
         assert not res.converged
         assert any("not converged" in w for w in res.warnings)
 
-    def test_unresolved_tau_rejected(self):
-        # with beta = 0 and tau far below the mesh scale the start Gaussian
-        # is below its offset at every vertex: the start is the constant
-        # saddle, an exact critical point that would pass as converged
-        ops = fem.assemble(triangulate(PlanarCurve.circle(1.0, 256), 0.05))
+    @pytest.mark.parametrize("beta", ["zero", "radial", "mean_curvature"])
+    def test_unresolved_tau_rejected(self, beta):
+        # with tau far below the mesh scale the start Gaussian is below its
+        # offset at every vertex: the start is the constant, an exact critical
+        # point that would pass as converged for beta = 0, and a start from
+        # which the descent ran out its 20,000 iterations for the other two
+        mesh = triangulate(PlanarCurve.circle(1.0, 256), 0.05)
+        ops = fem.assemble(mesh)
+        b = {"zero": 0.0, "mean_curvature": 1.0,
+             "radial": np.einsum("ij,ij->i", mesh.vertices[: mesh.n_boundary],
+                                 ops.boundary.outward_normal()) / 2e-6}[beta]
         with pytest.raises(mz.ConvergenceError, match="tau=1e-06"):
-            mz.minimize(ops, 1e-6, 0.0)
+            mz.minimize(ops, 1e-6, b)
 
     def test_invalid_tau(self, disk_ops):
         with pytest.raises(fn.FunctionalError):
