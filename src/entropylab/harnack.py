@@ -39,18 +39,16 @@ the records are the same bit for bit whatever the thread count.
 The patch fits build their design matrices FIT_BLOCK centers at a time: a
 whole snapshot's (centers, coefficients, neighbours) matrix is megabytes,
 and with two snapshots in flight it set the peak memory.
-Every patch takes its neighbours from ``_nearest`` in (distance, vertex
-index) order, whatever order scipy's k-d tree visits the points in.
 
 A snapshot's f is fitted with cubics only in ``_patch_fits``, once per set
 of neighbours: on every vertex's PATCH_K nearest vertices (its gradient
 enters W), and a vertex whose PATCH_K nearest are all kept by the Hessian's
-boundary-layer exclusion has the same patch in both sets, so that fit gives
-its Hessian too; only the other vertices query the kept vertices and are
-fitted again.  ``volume_term`` reads the Hessian and
+boundary-layer exclusion finds in them its PATCH_K nearest kept vertices, so
+that fit gives its Hessian too; only the other vertices query the kept
+vertices and are fitted again.  ``volume_term`` reads the Hessian and
 ``boundary_term_direct`` the gradient and the boundary rows' neighbours, and
-the report's ``meta`` counts the rows queried, fitted and shared.  The
-snapshot's boundary curve is built once, with its operators.
+the report's ``meta`` counts the rows queried (each is fitted once) and
+shared.  The snapshot's boundary curve is built once, with its operators.
 """
 
 from __future__ import annotations
@@ -125,36 +123,11 @@ class HarnackReport:
 def _nearest(points, centers, k):
     """(distances, indices) of each center's min(k, len(points)) nearest points.
 
-    Each row is in (distance, index) order: a tie at the cut keeps the lower
-    index, and the first columns are the answer for a smaller k.  Rows whose
-    cut ties are queried again, wider, until their last column lies past it.
+    Each row is in distance order, so its first j columns are a j-nearest set
+    too; which of several points at the cut distance a row keeps is the k-d
+    tree's choice.
     """
-    n = len(points)
-    k = min(k, n)
-    tree = cKDTree(points)
-    # a few columns past the cut: the ties of symmetric meshes come in short
-    # runs, so few rows need the re-query
-    width = min(k + 6, n)
-    d, idx = _ties_by_index(*tree.query(centers, width))
-    tie = np.flatnonzero(d[:, k - 1] == d[:, -1]) if width > k else []
-    while len(tie):
-        width = min(2 * width, n)
-        # points at the tied distance lie within the bound (rounding is ~1e-16)
-        bound = d[tie, k - 1].max() * (1.0 + 1e-9)
-        dt, it = _ties_by_index(
-            *tree.query(centers[tie], width, distance_upper_bound=bound))
-        d[tie, :k], idx[tie, :k] = dt[:, :k], it[:, :k]
-        tie = tie[(width < n) & (dt[:, k - 1] == dt[:, -1])]
-    return d[:, :k], idx[:, :k]
-
-
-def _ties_by_index(d, idx):
-    """Put each run of equal distances in a k-d tree query's rows in index order."""
-    rows = np.flatnonzero(np.any(d[:, 1:] == d[:, :-1], axis=1))
-    # complex numbers sort by real part, then by imaginary part; the rows come
-    # sorted by distance, so a stable sort only reorders the runs
-    idx[rows] = np.sort(d[rows] + 1j * idx[rows], axis=1, kind="stable").imag
-    return d, idx
+    return cKDTree(points).query(centers, min(k, len(points)))
 
 
 def _poly_fit(mesh, values, centers, degree, neighbors):
@@ -236,10 +209,9 @@ def _patch_fits(ops: fem.FemOperators, f) -> _PatchFits:
     fields transported by the moving-mesh solver carry a mesh-scale boundary
     layer whose second differences do not vanish under refinement, and the
     one-sided cubic models still extrapolate cleanly to the boundary.  A row
-    whose PATCH_K nearest vertices are all kept has the same (distance,
-    index)-ordered patch in both sets, so that fit is also its Hessian fit;
-    only the other rows query the kept vertices and are fitted again.  Each
-    row's arithmetic is the same in any block, so sharing changes no bit.
+    whose PATCH_K nearest vertices are all kept finds in them its PATCH_K
+    nearest kept vertices, so that fit is also its Hessian fit; only the other
+    rows query the kept vertices and are fitted again.
     """
     mesh = ops.mesh
     v, nb = mesh.vertices, mesh.n_boundary
@@ -461,8 +433,7 @@ def rate_identity_check(
         records,
         (n_eval, state.t0_index),
         meta={"skip": skip, "warnings": warnings_, "h": state.meshes[0].h,
-              "patch_query_rows": patch_rows, "patch_fit_rows": patch_rows,
-              "patch_shared_rows": sum(shared)},
+              "patch_query_rows": patch_rows, "patch_shared_rows": sum(shared)},
     )
 
 

@@ -277,9 +277,11 @@ def refine_boundary(curve: PlanarCurve, h: float):
 
     Works in both directions: a finely sampled curve is coarsened so the
     boundary spacing matches the interior target (a large jump in size at the
-    boundary ruins triangle quality), and a coarse one is refined.  The first
-    vertex is kept.  Returns (points, params) with params the fractional
-    source-vertex index, for mapping boundary data back to the curve.
+    boundary ruins triangle quality), and a coarse one is refined.  Corners
+    are kept, each section between them sampled on its own; a curve without
+    corners keeps its first vertex.  Returns (points, params) with params the
+    fractional source-vertex index, for mapping boundary data back to the
+    curve.
     """
     v = curve.vertices
     m = len(v)
@@ -292,12 +294,13 @@ def refine_boundary(curve: PlanarCurve, h: float):
     corners = np.flatnonzero(turn > np.radians(25.0))
     anchors = corners if len(corners) else np.array([0])
 
-    s_list, par_list = [], []
+    s_list = []
     for a, b in zip(anchors, np.append(anchors[1:], anchors[0] + m)):
-        sec = (cum[b] if b < m else total) - cum[a]
+        # the last section closes the curve: past vertex 0 to the first anchor
+        sec = (cum[b] if b < m else total + cum[b - m]) - cum[a]
         n = max(1, int(round(sec / h))) if len(corners) else max(8, int(round(sec / h)))
         s_list.append(cum[a] + np.arange(n) * sec / n)
-    s = np.concatenate(s_list)
+    s = np.concatenate(s_list) % total
     j = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, m - 1)
     frac = (s - cum[j]) / seg[j]
     pts = v[j] * (1 - frac)[:, None] + v[(j + 1) % m] * frac[:, None]

@@ -6,10 +6,12 @@ incircle test on stacked gathers that the library evaluates on flat
 coordinate columns; tests require the fast kernels to give the same
 answers, bit for bit.  So must the Lagrange weights, here formed with
 numpy's ``delete`` and ``prod`` where the library multiplies Python
-floats.  So must the patch neighbourhoods, here the full distance matrix
-lexsorted by (distance, index).  The patch fits and the moving-mesh matrices
-are the earlier einsum/COO forms of the harnack and conjugate kernels; those
-sum in another order, so tests compare them to a tolerance.  The moving-mesh
+floats.  So must the patch neighbourhoods' distances, here from the full
+distance matrix lexsorted by (distance, index); among points at equal
+distance the library may keep others.  The patch fits, on the library's
+neighbourhoods, and the moving-mesh matrices are the earlier einsum/COO
+forms of the harnack and conjugate kernels; those sum in another order, so
+tests compare them to a tolerance.  The moving-mesh
 substep's solve is the earlier ``spsolve`` from scratch, against which the
 reused-factor solve is held, and the snapshot meshes' harmonic extension is
 ``spsolve`` per displacement component, against which the shared factor's
@@ -270,12 +272,13 @@ def nearest(points, centers, k):
     return np.take_along_axis(d, order, axis=1), order
 
 
-def poly_fit(mesh, values, centers, degree, keep=None, k=45):
-    """Patch fits with a stacked design matrix and einsum normal equations."""
-    points = mesh.vertices if keep is None else mesh.vertices[keep]
-    d, idx = nearest(points, centers, k)
-    if keep is not None:
-        idx = keep[idx]
+def poly_fit(mesh, values, centers, degree, neighbors):
+    """Patch fits with a stacked design matrix and einsum normal equations.
+
+    Each center is fitted on ``neighbors``, (distances, vertex indices) of
+    its patch, the way the library's fits take them.
+    """
+    d, idx = neighbors
     R = d[:, -1]
     dx = (mesh.vertices[idx] - centers[:, None, :]) / R[:, None, None]
     A = _monomials(dx[..., 0], dx[..., 1], degree)

@@ -15,21 +15,23 @@ batched patch fits and the fixed-pattern ALE matrices sum in another order
 than their einsum/COO oracles, so they are held to rounding-level
 tolerances, and so is the flow step, whose spline resample solves for
 moments where scipy's ``CubicSpline`` solves for slopes.  The patch
-neighbourhoods must be the brute-force (distance, index) order's, bit for
-bit, whatever shape the k-d tree takes, and their first QUAD_K columns a
-fresh QUAD_K query's.  The snapshot patch fits that share one cubic fit
-between the Hessian's and the gradient's patch sets must give both
-standalone fits' results, bit for bit.  The flow's cyclic tridiagonal solve
-calls LAPACK ``dgtsv`` as ``solve_banded`` would, so it agrees with the
-``solve_banded`` oracle bit for bit.  The flow's folded turning guard is the
-oracle's arithmetic on the same edge data, bit for bit.  The edge-vectorized
-clipping kernels are held to their per-edge oracles to 1e-13 relative (1e-15
-absolute near zero), and the blocked Monte Carlo volume to the one-shot one,
-bit for bit; the numpy Sobol generator must give scipy's scrambled points,
-bit for bit, over consecutive blocks.  Analytic membership must be the
-gather-and-scatter oracle's on every variant, bit for bit, with no
-RuntimeWarning from the rows outside the region where log cos x_n or
-arccosh rho is defined.
+neighbourhoods must be k-nearest sets whatever shape the k-d tree takes:
+the brute-force distances bit for bit, with indices that differ from the
+brute-force (distance, index) order's only among points at equal distance,
+and their first QUAD_K columns must carry a fresh QUAD_K query's distances.
+The snapshot patch fits that share one cubic fit between the Hessian's and
+the gradient's patch sets must give the all-vertex fit where every patch
+vertex is kept, and the kept-vertex fit elsewhere, bit for bit.  The flow's
+cyclic tridiagonal solve calls LAPACK ``dgtsv`` as ``solve_banded`` would, so
+it agrees with the ``solve_banded`` oracle bit for bit.  The flow's folded
+turning guard is the oracle's arithmetic on the same edge data, bit for bit.
+The edge-vectorized clipping kernels are held to their per-edge oracles to
+1e-13 relative (1e-15 absolute near zero), and the blocked Monte Carlo
+volume to the one-shot one, bit for bit; the numpy Sobol generator must give
+scipy's scrambled points, bit for bit, over consecutive blocks.  Analytic
+membership must be the gather-and-scatter oracle's on every variant, bit for
+bit, with no RuntimeWarning from the rows outside the region where log cos
+x_n or arccosh rho is defined.
 """
 
 import tracemalloc
@@ -37,7 +39,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
@@ -377,28 +379,49 @@ def _random_mesh(seed):
 meshes = dict(seed=st.integers(0, 2**32 - 1))
 
 
-def _check_shared_patch_fits(mesh):
-    """``harnack._patch_fits`` against separate Hessian and all-vertex fits.
+def _assert_k_nearest(points, centers, d, idx):
+    """(d, idx) are each center's k nearest points: the oracle's distances bit
+    for bit, and distinct indices of points at their column's distance, so
+    they differ from the oracle's indices only among equal distances."""
+    d_ref, _ = oracles.nearest(points, centers, idx.shape[1])
+    assert np.array_equal(d, d_ref)
+    diff = centers[:, None, :] - points[idx]
+    assert np.array_equal(np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2), d)
+    assert np.all(np.diff(np.sort(idx, axis=1), axis=1) > 0)
 
-    The Hessian is fitted at every vertex from its PATCH_K nearest kept
-    vertices, the gradient from its PATCH_K nearest vertices, with no row
-    shared between the two.
+
+def _check_shared_patch_fits(mesh):
+    """``harnack._patch_fits`` against the all-vertex and kept-vertex fits.
+
+    The gradient is the cubic fit on every vertex's PATCH_K nearest vertices,
+    and the boundary rows' quadratic patches that query's first QUAD_K
+    columns.  A row whose PATCH_K nearest vertices are all kept takes its
+    Hessian from the same fit, and those vertices are its PATCH_K nearest
+    kept ones; every other row's Hessian is the fit on ``_nearest(v[keep],
+    v[rest], PATCH_K)``.
     """
     v, nb, k = mesh.vertices, mesh.n_boundary, harnack.QUAD_K
     f = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1]) + v[:, 0] * v[:, 1] ** 2
     ops = fem.assemble(mesh)
     keep = harnack._kept_vertices(mesh, ops.boundary)
+    d, idx = harnack._nearest(v, v, harnack.PATCH_K)
+    c, R = harnack._poly_fit(mesh, f, v, 3, (d, idx))
+    shared = np.isin(idx, keep).all(axis=1)
+    rest = np.flatnonzero(~shared)
     try:
-        d, idx = harnack._nearest(v[keep], v, harnack.PATCH_K)
-        H = harnack._hessian(*harnack._poly_fit(mesh, f, v, 3, (d, keep[idx])))
+        d_keep, idx_keep = harnack._nearest(v[keep], v[rest], harnack.PATCH_K)
+        H_rest = harnack._hessian(
+            *harnack._poly_fit(mesh, f, v[rest], 3, (d_keep, keep[idx_keep])))
     except harnack.HarnackError:  # too few kept vertices for a cubic
         with pytest.raises(harnack.HarnackError):
             harnack._patch_fits(ops, f)
         return None
     fits = harnack._patch_fits(ops, f)
-    assert np.array_equal(fits.hessian, H)
-    d, idx = harnack._nearest(v, v, harnack.PATCH_K)
-    c, R = harnack._poly_fit(mesh, f, v, 3, (d, idx))
+    assert fits.shared == shared.sum()
+    assert np.array_equal(fits.hessian[shared], harnack._hessian(c[shared], R[shared]))
+    assert np.array_equal(fits.hessian[rest], H_rest)
+    if shared.any():
+        _assert_k_nearest(v[keep], v[shared], d[shared], np.searchsorted(keep, idx[shared]))
     assert np.array_equal(fits.grad, c[:, 1:3] / R[:, None])
     assert np.array_equal(fits.quad[0], d[:nb, :k])
     assert np.array_equal(fits.quad[1], idx[:nb, :k])
@@ -407,6 +430,7 @@ def _check_shared_patch_fits(mesh):
 
 class TestNumericKernelsAgainstOracles:
     @given(**meshes, degree=st.sampled_from([2, 3]), subset=st.booleans())
+    @example(seed=1256604, degree=3, subset=True)  # the k-d tree keeps another tied point
     @settings(max_examples=40, deadline=None)
     def test_poly_fit(self, seed, degree, subset):
         mesh, rng = _random_mesh(seed)
@@ -422,11 +446,11 @@ class TestNumericKernelsAgainstOracles:
         k = harnack.QUAD_K if degree == 2 else harnack.PATCH_K
         points = mesh.vertices if keep is None else mesh.vertices[keep]
         d, idx = harnack._nearest(points, centers, k)
+        _assert_k_nearest(points, centers, d, idx)
         if keep is not None:
             idx = keep[idx]
         c, R = harnack._poly_fit(mesh, values, centers, degree, (d, idx))
-        c_ref, R_ref = oracles.poly_fit(mesh, values, centers, degree, keep=keep, k=k)
-        assert np.array_equal(R, R_ref)
+        c_ref, _ = oracles.poly_fit(mesh, values, centers, degree, (d, idx))
         assert np.abs(c - c_ref).max() <= 1e-10 * np.abs(c_ref).max()
 
     @given(**meshes)
@@ -503,39 +527,20 @@ class TestNumericKernelsAgainstOracles:
         mesh, _ = _random_mesh(seed)
         v, nb = mesh.vertices, mesh.n_boundary
         d, idx = harnack._nearest(v, v, harnack.PATCH_K)
-        d_ref, idx_ref = harnack._nearest(v, v[:nb], harnack.QUAD_K)
-        assert np.array_equal(d[:nb, : harnack.QUAD_K], d_ref)
-        assert np.array_equal(idx[:nb, : harnack.QUAD_K], idx_ref)
-        W = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1])
         prefix = d[:nb, : harnack.QUAD_K], idx[:nb, : harnack.QUAD_K]
+        _assert_k_nearest(v, v[:nb], *prefix)
+        W = np.sin(3.0 * v[:, 0]) * np.exp(v[:, 1])
         reused = harnack._boundary_normal_gradient(mesh, W, prefix, mesh.boundary_curve())
-        c, R = oracles.poly_fit(mesh, W, v[:nb], 2, k=harnack.QUAD_K)
+        c, R = oracles.poly_fit(mesh, W, v[:nb], 2, prefix)
         nu = mesh.boundary_curve().outward_normal()
-        fresh = np.einsum("ij,ij->i", c[:, 1:3] / R[:, None], nu)
-        assert np.abs(reused - fresh).max() <= 1e-10 * np.abs(fresh).max()
+        ref = np.einsum("ij,ij->i", c[:, 1:3] / R[:, None], nu)
+        assert np.abs(reused - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_neighbor_prefix_requeries_ties_at_the_cut(self):
-        # on the integer lattice an interior point's 36th and 37th nearest
-        # points are both at distance sqrt(10), so a cut prefix of the
-        # 45-point k-d tree query can keep another point than a fresh
-        # 36-point one; the kernel's rows keep the lower index either way
-        g = np.arange(15.0)
-        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        wide = cKDTree(pts).query(pts, k=45)
-        tie = wide[0][:, 35] == wide[0][:, 36]
-        naive = np.sort(wide[1][:, :36], axis=1)
-        assert tie.any()
-        assert np.any(naive != np.sort(cKDTree(pts).query(pts, k=36)[1], axis=1))
-        d, idx = harnack._nearest(pts, pts, 36)
-        d_ref, idx_ref = oracles.nearest(pts, pts, 36)
-        assert np.array_equal(d, d_ref) and np.array_equal(idx, idx_ref)
-        d_wide, idx_wide = harnack._nearest(pts, pts, 45)
-        assert np.array_equal(d_wide[:, :36], d) and np.array_equal(idx_wide[:, :36], idx)
-
-    def test_nearest_in_distance_index_order(self, monkeypatch):
+    def test_nearest_is_a_k_nearest_set(self, monkeypatch):
         # on the 15 x 15 integer lattice the k-th and (k+1)-th nearest points
         # tie for many rows at k = 36 and 45; whatever the k-d tree's shape,
-        # the neighbourhoods must be the brute-force (distance, index) ones
+        # each row is a k-nearest set, and a PATCH_K query's first QUAD_K
+        # columns are a QUAD_K query's distances
         g = np.arange(15.0)
         lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
         disk = triangulate(PlanarCurve.circle(1.0, 256), 0.1).vertices
@@ -548,33 +553,9 @@ class TestNumericKernelsAgainstOracles:
             monkeypatch.setattr(harnack, "cKDTree", partial(cKDTree, **tree))
             for pts, k in cases:
                 d, idx = harnack._nearest(pts, pts, k)
-                d_ref, idx_ref = oracles.nearest(pts, pts, k)
-                assert np.array_equal(idx, idx_ref), tree
-                assert np.array_equal(d, d_ref), tree
-                d_quad, idx_quad = harnack._nearest(pts, pts, harnack.QUAD_K)
-                assert np.array_equal(idx[:, : harnack.QUAD_K], idx_quad)
-                assert np.array_equal(d[:, : harnack.QUAD_K], d_quad)
-
-    def test_nearest_requeries_only_ties_past_its_first_query(self, monkeypatch):
-        # the first query reaches 6 columns past the cut; on the 15 x 15
-        # integer lattice the 8 points at distance sqrt(10) run past it at
-        # k = 30 for the 81 interior rows, and stop short of it at k = 36
-        g = np.arange(15.0)
-        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        queried = []
-
-        class Counted(cKDTree):
-            def query(self, x, *args, **kwargs):
-                queried.append(len(x))
-                return super().query(x, *args, **kwargs)
-
-        monkeypatch.setattr(harnack, "cKDTree", Counted)
-        for k, rows in ((30, [225, 81]), (36, [225])):
-            queried.clear()
-            d, idx = harnack._nearest(pts, pts, k)
-            d_ref, idx_ref = oracles.nearest(pts, pts, k)
-            assert queried == rows
-            assert np.array_equal(d, d_ref) and np.array_equal(idx, idx_ref)
+                _assert_k_nearest(pts, pts, d, idx)
+                d_quad, _ = harnack._nearest(pts, pts, harnack.QUAD_K)
+                assert np.array_equal(d[:, : harnack.QUAD_K], d_quad), tree
 
     @given(**meshes)
     @settings(max_examples=20, deadline=None)

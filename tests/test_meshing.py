@@ -80,6 +80,14 @@ class TestRefineBoundary:
             d = np.linalg.norm(pts - np.asarray(corner, dtype=float), axis=1)
             assert d.min() < 1e-12
 
+    def test_closing_section_keeps_the_spacing(self):
+        # this star's first corner is vertex 11, so the last section runs
+        # from its last corner past vertex 0 to vertex 11; dropping the arc
+        # from vertex 0 to vertex 11 left a 1.25-long closing edge
+        pts, _ = refine_boundary(_star(64, 3, 0.4, 0.0), 0.08)
+        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        assert 0.077 < seg.min() and seg.max() < 0.080
+
     def test_params_map_back_to_curve(self):
         c = PlanarCurve.circle(1.0, 128)
         pts, params = refine_boundary(c, 0.2)
@@ -154,9 +162,12 @@ WHOLE_MESH_CASES = {
     "trefoil_h0.02": (_star(512, 3, 0.15, 0.0, wobble=0.0), 0.02),
     "trefoil_h0.05": (_star(512, 3, 0.15, 0.0, wobble=0.0), 0.05),
     "star_h0.08": (_star(64, 3, 0.3, 0.0), 0.08),
-    # the three ways a mesh attempt fails, each on all six attempts
+    # corners but not at vertex 0: the last boundary section wraps past it
+    "star_closing_section": (_star(64, 3, 0.4, 0.0), 0.08),
+    # two ways a mesh attempt fails, each on all six attempts (no input
+    # that loses a boundary edge is known; test_kernels.py's
+    # test_lost_boundary_edges holds that check to its oracle)
     "star_degenerate": (_star(64, 3, 0.3, 0.0), 0.05),
-    "star_lost_edge": (_star(64, 3, 0.4, 0.0), 0.08),
     "star_min_angle": (_star(200, 5, 0.4, 0.0), 0.08),
 }
 
